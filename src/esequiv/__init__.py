@@ -40,6 +40,7 @@ from .semantics import (
     MODE_POMSET,
     MODE_STEP,
     Lts,
+    Semantics,
     build_lts,
     configurations,
     has_autoconcurrency,

@@ -14,17 +14,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .errors import ModeMismatch, SpectrumViolation
-from .semantics import (
-    MODE_INTERLEAVING,
-    MODE_POMSET,
-    MODE_STEP,
-    Lts,
-    build_lts,
-    configurations,
-    enabled_events,
-    pomset_code,
-)
-from .structure import EventStructure, _bits, isomorphic, restrict
+from .semantics import MODE_INTERLEAVING, MODE_POMSET, MODE_STEP, Lts, Semantics
+from .structure import EventStructure, _bits, isomorphic
 
 
 class Relation(enum.Enum):
@@ -271,28 +262,23 @@ def _bisim_attack(history, succ, u, v):
 # ---------------------------------------------------------------------------
 
 
-def _config_codes(s: EventStructure):
-    confs = configurations(s)
-    return confs, {mask: pomset_code(restrict(s, mask)) for mask in confs}
+def _memos(sa, sb):
+    """One memo per side; a structure compared with itself gets one memo."""
+    ma = Semantics.of(sa)
+    return ma, (ma if sb == sa else Semantics.of(sb))
 
 
 def pomset_trace_equiv(sa: EventStructure, sb: EventStructure, *, witness=False):
     """Equality of the sets of configuration pomsets."""
-    confs_a, codes_a = _config_codes(sa)
-    confs_b, codes_b = _config_codes(sb)
-    set_a = set(codes_a.values())
-    set_b = set(codes_b.values())
-    if set_a == set_b:
+    ma, mb = _memos(sa, sb)
+    if ma.by_code.keys() == mb.by_code.keys():
         return (True, None) if witness else True
     if not witness:
         return False
-    only_a = set_a - set_b
-    if only_a:
-        mask = min(m for m in confs_a if codes_a[m] in only_a)
-        return False, PomsetWitness(side="left", configuration=mask)
-    only_b = set_b - set_a
-    mask = min(m for m in confs_b if codes_b[m] in only_b)
-    return False, PomsetWitness(side="right", configuration=mask)
+    for side, m, other in (("left", ma, mb), ("right", mb, ma)):
+        only = [x for code, xs in m.by_code.items() if code not in other.by_code for x in xs]
+        if only:
+            return False, PomsetWitness(side=side, configuration=min(only))
 
 
 # ---------------------------------------------------------------------------
@@ -306,20 +292,16 @@ def whb_equiv(sa: EventStructure, sb: EventStructure, *, witness=False):
     Greatest fixpoint over configuration pairs with isomorphic posets,
     challenged by single-event extensions on either side.
     """
-    confs_a, codes_a = _config_codes(sa)
-    confs_b, codes_b = _config_codes(sb)
-    by_code_b = defaultdict(list)
-    for mask in confs_b:
-        by_code_b[codes_b[mask]].append(mask)
+    ma, mb = _memos(sa, sb)
+    sa, sb = ma.s, mb.s
     alive = set()
-    for x in confs_a:
-        for y in by_code_b.get(codes_a[x], ()):
+    for x in ma.configurations:
+        for y in mb.by_code.get(ma.code(x), ()):
             alive.add((x, y))
     root = (0, 0)
     if root not in alive:  # pragma: no cover - empty posets always match
         return (False, None) if witness else False
-    en_a = {m: enabled_events(sa, m) for m in confs_a}
-    en_b = {m: enabled_events(sb, m) for m in confs_b}
+    en_a, en_b = ma.enabled, mb.enabled
 
     def ok(pair):
         x, y = pair
@@ -395,31 +377,22 @@ def _enumerate_isos(sa, sb, x_events, y_events, down_a, down_b):
     return out
 
 
-def _hp_universe(sa: EventStructure, sb: EventStructure):
+def _hp_universe(ma: Semantics, mb: Semantics):
     """All triples (X, Y, f) with f an isomorphism poset(X) -> poset(Y).
 
     f is stored as the tuple of images of X's events in ascending id order.
     """
-    confs_a, codes_a = _config_codes(sa)
-    confs_b, codes_b = _config_codes(sb)
-    by_code_b = defaultdict(list)
-    for mask in confs_b:
-        by_code_b[codes_b[mask]].append(mask)
-    down_in_a = {m: [sa.down[e] & m for e in range(sa.n)] for m in confs_a}
-    down_in_b = {m: [sb.down[f] & m for f in range(sb.n)] for m in confs_b}
+    sa, sb = ma.s, mb.s
+    down_in_b = {m: [sb.down[f] & m for f in range(sb.n)] for m in mb.configurations}
     triples = set()
-    for x in confs_a:
+    for x in ma.configurations:
         xe = list(_bits(x))
-        da = down_in_a[x]
-        for y in by_code_b.get(codes_a[x], ()):
+        da = [sa.down[e] & x for e in range(sa.n)]
+        for y in mb.by_code.get(ma.code(x), ()):
             db = down_in_b[y]
             for mapping in _enumerate_isos(sa, sb, xe, list(_bits(y)), da, db):
                 triples.add((x, y, tuple(mapping[e] for e in xe)))
-    aux = {
-        "en_a": {m: enabled_events(sa, m) for m in confs_a},
-        "en_b": {m: enabled_events(sb, m) for m in confs_b},
-    }
-    return triples, aux
+    return triples
 
 
 def _insert_image(x, ftuple, e, f):
@@ -440,12 +413,10 @@ def _image_of(x, ftuple, mask):
     return out
 
 
-def _hp_fixpoint(sa, sb, hereditary, universe=None, *, witness=False):
-    if universe is None:
-        universe = _hp_universe(sa, sb)
-    triples, aux = universe
-    alive = set(triples)
-    en_a, en_b = aux["en_a"], aux["en_b"]
+def _hp_fixpoint(ma, mb, hereditary, universe, *, witness=False):
+    sa, sb = ma.s, mb.s
+    alive = set(universe)
+    en_a, en_b = ma.enabled, mb.enabled
     root = (0, 0, ())
 
     def ok(triple):
@@ -491,13 +462,17 @@ def _hp_fixpoint(sa, sb, hereditary, universe=None, *, witness=False):
 
 def hb_equiv(sa: EventStructure, sb: EventStructure, *, witness=False):
     """History preserving bisimilarity: isomorphisms must grow along the play."""
-    return _hp_fixpoint(sa, sb, hereditary=False, witness=witness)
+    ma, mb = _memos(sa, sb)
+    universe = _hp_universe(ma, mb)
+    return _hp_fixpoint(ma, mb, hereditary=False, universe=universe, witness=witness)
 
 
 def hhb_equiv(sa: EventStructure, sb: EventStructure, *, witness=False):
     """Hereditary history preserving bisimilarity: also closed under
     single-event backtracking on both sides."""
-    return _hp_fixpoint(sa, sb, hereditary=True, witness=witness)
+    ma, mb = _memos(sa, sb)
+    universe = _hp_universe(ma, mb)
+    return _hp_fixpoint(ma, mb, hereditary=True, universe=universe, witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -514,23 +489,24 @@ _MODE_OF = {
 
 
 def check(rel: Relation, sa: EventStructure, sb: EventStructure, *, witness=False):
-    """Decide one relation between two structures."""
+    """Decide one relation between two structures (or memos of them)."""
+    ma, mb = _memos(sa, sb)
     if rel in (Relation.IT, Relation.ST):
         mode = _MODE_OF[rel]
-        return trace_equiv(build_lts(sa, mode), build_lts(sb, mode), witness=witness)
+        return trace_equiv(ma.lts(mode), mb.lts(mode), witness=witness)
     if rel in (Relation.IB, Relation.SB, Relation.PB):
         mode = _MODE_OF[rel]
-        return bisim(build_lts(sa, mode), build_lts(sb, mode), witness=witness)
+        return bisim(ma.lts(mode), mb.lts(mode), witness=witness)
     if rel is Relation.PT:
-        return pomset_trace_equiv(sa, sb, witness=witness)
+        return pomset_trace_equiv(ma, mb, witness=witness)
     if rel is Relation.WHB:
-        return whb_equiv(sa, sb, witness=witness)
+        return whb_equiv(ma, mb, witness=witness)
     if rel is Relation.HB:
-        return hb_equiv(sa, sb, witness=witness)
+        return hb_equiv(ma, mb, witness=witness)
     if rel is Relation.HHB:
-        return hhb_equiv(sa, sb, witness=witness)
+        return hhb_equiv(ma, mb, witness=witness)
     if rel is Relation.ISO:
-        ok, mapping = isomorphic(sa, sb)
+        ok, mapping = isomorphic(ma.s, mb.s)
         if witness:
             wit = IsoWitness(tuple(sorted(mapping.items()))) if ok else None
             return ok, wit
@@ -563,9 +539,10 @@ def full_matrix(sa: EventStructure, sb: EventStructure, *, witness=False) -> Ver
     """Run all ten checks and assert consistency with the proven inclusions."""
     verdicts = {}
     witnesses = {}
-    li_a, li_b = build_lts(sa, MODE_INTERLEAVING), build_lts(sb, MODE_INTERLEAVING)
-    ls_a, ls_b = build_lts(sa, MODE_STEP), build_lts(sb, MODE_STEP)
-    lp_a, lp_b = build_lts(sa, MODE_POMSET), build_lts(sb, MODE_POMSET)
+    ma, mb = _memos(sa, sb)
+    li_a, li_b = ma.lts(MODE_INTERLEAVING), mb.lts(MODE_INTERLEAVING)
+    ls_a, ls_b = ma.lts(MODE_STEP), mb.lts(MODE_STEP)
+    lp_a, lp_b = ma.lts(MODE_POMSET), mb.lts(MODE_POMSET)
 
     def put(rel, result):
         if witness:
@@ -578,18 +555,18 @@ def full_matrix(sa: EventStructure, sb: EventStructure, *, witness=False) -> Ver
     put(Relation.IB, bisim(li_a, li_b, witness=witness))
     put(Relation.SB, bisim(ls_a, ls_b, witness=witness))
     put(Relation.PB, bisim(lp_a, lp_b, witness=witness))
-    put(Relation.PT, pomset_trace_equiv(sa, sb, witness=witness))
-    universe = _hp_universe(sa, sb)
-    put(Relation.WHB, whb_equiv(sa, sb, witness=witness))
+    put(Relation.PT, pomset_trace_equiv(ma, mb, witness=witness))
+    put(Relation.WHB, whb_equiv(ma, mb, witness=witness))
+    universe = _hp_universe(ma, mb)
     put(
         Relation.HB,
-        _hp_fixpoint(sa, sb, hereditary=False, universe=universe, witness=witness),
+        _hp_fixpoint(ma, mb, hereditary=False, universe=universe, witness=witness),
     )
     put(
         Relation.HHB,
-        _hp_fixpoint(sa, sb, hereditary=True, universe=universe, witness=witness),
+        _hp_fixpoint(ma, mb, hereditary=True, universe=universe, witness=witness),
     )
-    put(Relation.ISO, check(Relation.ISO, sa, sb, witness=witness))
+    put(Relation.ISO, check(Relation.ISO, ma, mb, witness=witness))
 
     for fine, coarse in INCLUSION_ARROWS:
         if verdicts[fine] and not verdicts[coarse]:

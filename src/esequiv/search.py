@@ -19,27 +19,15 @@ from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .equivalences import Relation, bisim, check, trace_equiv
+from .equivalences import Relation, _indexed, check
 from .errors import NoPairFound, NotAnEes, SizeLimit
-from .semantics import (
-    MODE_INTERLEAVING,
-    MODE_POMSET,
-    MODE_STEP,
-    build_lts,
-    configurations,
-    pomset_code,
-)
+from .semantics import MODE_INTERLEAVING, MODE_STEP, Semantics, configurations
 from .structure import EventStructure, canonical_form, restrict
 
 MAX_SEARCH_EVENTS = 9
 MAX_SEARCH_ALPHABET = 3
 
 _LETTERS = "abc"
-
-
-def _downset_masks(s: EventStructure):
-    """All downward-closed event sets of a conflict-free structure."""
-    return configurations(s)
 
 
 def _extended(base: EventStructure, downset: int, letter: str) -> EventStructure:
@@ -64,7 +52,8 @@ def _poset_levels(max_events: int, alphabet: int):
     for _ in range(max_events):
         reps = {}
         for base in levels[-1]:
-            for downset in _downset_masks(base):
+            # in a conflict-free structure the configurations are the downsets
+            for downset in configurations(base):
                 for letter in letters:
                     cand = _extended(base, downset, letter)
                     code = canonical_form(cand)
@@ -100,10 +89,7 @@ def _language_fingerprint(lts):
     Equal fingerprints iff equal languages: subset construction, then
     coarsest stable partition, then breadth-first numbering of the quotient.
     """
-    index = {m: i for i, m in enumerate(lts.states)}
-    rows = defaultdict(lambda: [0] * len(lts.states))
-    for src, label, dst in lts.transitions:
-        rows[label][index[src]] |= 1 << index[dst]
+    rows = _indexed(lts)
     alphabet = sorted(rows)
     subsets = {1: 0}
     trans = []  # per subset id: list of (label index, dst subset id)
@@ -161,15 +147,11 @@ def _language_fingerprint(lts):
 
 
 def it_fingerprint(s: EventStructure):
-    return _language_fingerprint(build_lts(s, MODE_INTERLEAVING))
+    return _language_fingerprint(Semantics.of(s).lts(MODE_INTERLEAVING))
 
 
 def st_fingerprint(s: EventStructure):
-    return _language_fingerprint(build_lts(s, MODE_STEP))
-
-
-def pomset_set(s: EventStructure):
-    return frozenset(pomset_code(restrict(s, m)) for m in configurations(s))
+    return _language_fingerprint(Semantics.of(s).lts(MODE_STEP))
 
 
 # bucket invariants sound for each coarse relation (beyond the always-sound
@@ -254,56 +236,29 @@ def _certificate_text(spec, stats, found_size):
 
 
 def _bucket_key(s, spec):
+    sem = Semantics(s)
     key = [tuple(sorted(s.labels))]
     if spec.use_filters:
-        key.append(it_fingerprint(s))
+        key.append(it_fingerprint(sem))
         if spec.coarse in _ST_SOUND:
-            key.append(st_fingerprint(s))
+            key.append(st_fingerprint(sem))
         if spec.coarse in _PT_SOUND:
-            key.append(pomset_set(s))
+            key.append(frozenset(sem.by_code))
     if spec.sdm_filter:
         key.append(source_deleted_multiset(s))
     return tuple(key)
 
 
-class _PairTester:
-    """Relation checks over a fixed rep list, with per-rep LTS caching."""
-
-    def __init__(self, reps):
-        self.reps = reps
-        self._lts = {}
-
-    def lts(self, idx, mode):
-        got = self._lts.get((idx, mode))
-        if got is None:
-            got = build_lts(self.reps[idx], mode)
-            self._lts[(idx, mode)] = got
-        return got
-
-    def holds(self, rel, i, j):
-        if rel in (Relation.IT, Relation.ST):
-            mode = MODE_INTERLEAVING if rel is Relation.IT else MODE_STEP
-            return trace_equiv(self.lts(i, mode), self.lts(j, mode))
-        if rel in (Relation.IB, Relation.SB, Relation.PB):
-            mode = {
-                Relation.IB: MODE_INTERLEAVING,
-                Relation.SB: MODE_STEP,
-                Relation.PB: MODE_POMSET,
-            }[rel]
-            return bisim(self.lts(i, mode), self.lts(j, mode))
-        return check(rel, self.reps[i], self.reps[j])
-
-
 def _process_bucket(args):
     """Group one bucket by the coarse relation; return local qualifying pairs."""
     members, coarse, fine = args
-    tester = _PairTester(members)
+    sems = [Semantics(s) for s in members]
     groups = []
     pairs_tested = 0
     for idx in range(len(members)):
         for group in groups:
             pairs_tested += 1
-            if tester.holds(coarse, group[0], idx):
+            if check(coarse, sems[group[0]], sems[idx]):
                 group.append(idx)
                 break
         else:
@@ -316,7 +271,7 @@ def _process_bucket(args):
                 # distinct representatives are never isomorphic
                 if fine is not Relation.ISO:
                     pairs_tested += 1
-                    if tester.holds(fine, i, j):
+                    if check(fine, sems[i], sems[j]):
                         continue
                 found.append((i, j))
     return len(groups), pairs_tested, found

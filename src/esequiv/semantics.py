@@ -127,42 +127,85 @@ class Lts:
         return tuple(sorted({label for _, label, _ in self.transitions}))
 
 
-def _pomset_code_memo(s, memo, mask):
-    code = memo.get(mask)
-    if code is None:
-        code = pomset_code(restrict(s, mask))
-        memo[mask] = code
-    return code
+class Semantics:
+    """The facts about one structure that the relations read, each computed
+    on first use: configurations, enabled events, pomset codes, and one
+    transition system per mode.
+
+    A memo lives for one call (one pair check, one search bucket) and is
+    never attached to the structure or kept in a module-level cache: the
+    transition systems of a whole corpus would not fit the memory budget.
+    Public functions accept either a structure or a memo of it.
+    """
+
+    def __init__(self, s: EventStructure):
+        self.s = s
+        self._codes = {}
+        self._lts = {}
+
+    @classmethod
+    def of(cls, s):
+        """`s` itself if it is already a memo, else a fresh memo of `s`."""
+        return s if isinstance(s, cls) else cls(s)
+
+    @cached_property
+    def configurations(self):
+        return configurations(self.s)
+
+    @cached_property
+    def enabled(self):
+        """configuration -> list of events addable to it."""
+        return {m: enabled_events(self.s, m) for m in self.configurations}
+
+    def code(self, mask: int) -> bytes:
+        """Pomset code of the events in mask (a configuration or the
+        difference of two)."""
+        got = self._codes.get(mask)
+        if got is None:
+            got = self._codes[mask] = pomset_code(restrict(self.s, mask))
+        return got
+
+    @cached_property
+    def by_code(self):
+        """pomset code -> configurations with that pomset, in configuration order."""
+        out = {}
+        for mask in self.configurations:
+            out.setdefault(self.code(mask), []).append(mask)
+        return out
+
+    def lts(self, mode: str) -> Lts:
+        got = self._lts.get(mode)
+        if got is None:
+            got = self._lts[mode] = build_lts(self, mode)
+        return got
 
 
-def build_lts(s: EventStructure, mode: str) -> Lts:
+def build_lts(s: EventStructure | Semantics, mode: str) -> Lts:
     """Full transition system of the structure under the given mode."""
     if mode not in MODES:
         raise ModeMismatch(f"unknown mode {mode!r}")
+    sem = Semantics.of(s)
+    s = sem.s
     if s.n > MAX_LTS_EVENTS:
         raise SizeLimit(f"structure has {s.n} events; limit is {MAX_LTS_EVENTS}")
-    states = configurations(s)
+    states = sem.configurations
     transitions = []
     if mode == MODE_INTERLEAVING:
         for mask in states:
-            for e in enabled_events(s, mask):
+            for e in sem.enabled[mask]:
                 transitions.append((mask, s.labels[e], mask | (1 << e)))
     elif mode == MODE_STEP:
         for mask in states:
-            enabled = enabled_events(s, mask)
             # non-empty subsets of pairwise concurrent enabled events;
             # enabled events are never ordered, so only conflicts matter
-            for group in _independent_subsets(s, enabled):
+            for group in _independent_subsets(s, sem.enabled[mask]):
                 label = tuple(sorted(s.labels[e] for e in _bits(group)))
                 transitions.append((mask, label, mask | group))
     else:
-        memo = {}
         for mask in states:
             for bigger in states:
                 if bigger != mask and (bigger & mask) == mask:
-                    diff = bigger & ~mask
-                    code = _pomset_code_memo(s, memo, diff)
-                    transitions.append((mask, code, bigger))
+                    transitions.append((mask, sem.code(bigger & ~mask), bigger))
     transitions.sort(key=lambda t: (t[0].bit_count(), t[0], t[1], t[2]))
     return Lts(mode=mode, states=states, transitions=tuple(transitions))
 

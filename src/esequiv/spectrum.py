@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .algebra import from_expr
 from .errors import SelfConflict, UnsatisfiableSpec
-from .equivalences import MATRIX_ORDER, Relation, VerdictMatrix, full_matrix
+from .equivalences import INCLUSION_ARROWS, MATRIX_ORDER, Relation, VerdictMatrix, full_matrix
 from .structure import EventStructure, StructureClass, build, classify
 
 R = Relation
@@ -292,21 +292,7 @@ class Diagram:
 FIG_PES = Diagram(
     name="pes",
     groups=tuple((rel,) for rel in MATRIX_ORDER),
-    arrows=(
-        (R.IB, R.IT),
-        (R.ST, R.IT),
-        (R.SB, R.IB),
-        (R.SB, R.ST),
-        (R.PT, R.ST),
-        (R.PB, R.SB),
-        (R.PB, R.PT),
-        (R.WHB, R.SB),
-        (R.WHB, R.PT),
-        (R.HB, R.PB),
-        (R.HB, R.WHB),
-        (R.HHB, R.HB),
-        (R.ISO, R.HHB),
-    ),
+    arrows=INCLUSION_ARROWS,
 )
 
 FIG_CS = Diagram(

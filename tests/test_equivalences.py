@@ -183,9 +183,15 @@ class TestFullMatrix:
 class TestDispatch:
     @pytest.mark.parametrize("rel", list(MATRIX_ORDER))
     def test_check_agrees_with_matrix(self, rel, pair_st_not_ib):
-        left, right = pair_st_not_ib
-        m = full_matrix(left, right)
-        assert check(rel, left, right) == m[rel]
+        rng = random.Random(59)
+        pairs = [pair_st_not_ib] + [
+            (random_structure(rng, max_events=5), random_structure(rng, max_events=5))
+            for _ in range(40)
+        ]
+        for left, right in pairs:
+            m = full_matrix(left, right, witness=True)
+            assert check(rel, left, right) == m[rel]
+            assert check(rel, left, right, witness=True) == (m.verdicts[rel], m.witnesses[rel])
 
     def test_witness_modes(self):
         ok, wit = check(R.ISO, from_expr("a;b"), from_expr("a;b"), witness=True)

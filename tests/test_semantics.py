@@ -1,13 +1,19 @@
+import dataclasses
 import random
+import sys
+from collections import Counter
 
 import pytest
 
+from esequiv import structure
 from esequiv.algebra import from_expr
+from esequiv.equivalences import Relation, check, full_matrix
 from esequiv.errors import NotAConfiguration, SizeLimit
 from esequiv.semantics import (
     MODE_INTERLEAVING,
     MODE_POMSET,
     MODE_STEP,
+    Semantics,
     build_lts,
     configurations,
     has_autoconcurrency,
@@ -17,7 +23,9 @@ from esequiv.semantics import (
     poset_of,
     trace_language,
 )
-from esequiv.structure import build
+from esequiv.search import SearchSpec, find_minimal_pairs
+from esequiv.spectrum import builtin_fixtures
+from esequiv.structure import EventStructure, build
 
 from conftest import random_structure
 from oracles import o_configs
@@ -195,3 +203,52 @@ class TestAutoconcurrency:
         )
         assert (s.conflicts[2] >> 3) & 1
         assert not has_autoconcurrency(s)
+
+
+class TestSemanticsMemo:
+    def test_memo_agrees_with_the_functions(self):
+        rng = random.Random(67)
+        for _ in range(20):
+            s = random_structure(rng, max_events=6)
+            sem = Semantics(s)
+            assert sem.configurations == configurations(s)
+            for mode in (MODE_INTERLEAVING, MODE_STEP, MODE_POMSET):
+                assert sem.lts(mode) is sem.lts(mode)
+                assert sem.lts(mode) == build_lts(s, mode) == build_lts(Semantics(s), mode)
+            for code, members in sem.by_code.items():
+                assert members == [m for m in sem.configurations if m in members]
+                for m in members:
+                    assert sem.code(m) == code == pomset_code(poset_of(s, m))
+
+    def test_full_matrix_restricts_each_configuration_once(self, monkeypatch):
+        real = structure.restrict
+        calls = Counter()
+
+        def counting(s, mask):
+            calls[(s, mask)] += 1
+            return real(s, mask)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("esequiv") and getattr(module, "restrict", None) is real:
+                monkeypatch.setattr(module, "restrict", counting)
+        for fx in builtin_fixtures():
+            calls.clear()
+            full_matrix(fx.left, fx.right)
+            assert calls, fx.name
+            twice = [key for key, n in calls.items() if n > 1]
+            assert not twice, (fx.name, twice[:3])
+
+    def test_memos_stay_off_the_structures(self):
+        """No fact outlives its call: structures keep only their own fields."""
+        fields = {f.name for f in dataclasses.fields(EventStructure)}
+        allowed = fields | {"up", "minimal_events"}  # its own cached properties
+        left, right = from_expr("a || (a;b)"), from_expr("a;(a||b)")
+        full_matrix(left, right, witness=True)
+        for rel in Relation:
+            check(rel, left, right)
+        res = find_minimal_pairs(
+            SearchSpec(coarse=Relation.IT, fine=Relation.IB, max_events=3, alphabet=2)
+        )
+        inputs = [left, right] + [s for pair in res.pairs for s in pair]
+        for s in inputs:
+            assert set(vars(s)) <= allowed, sorted(vars(s))
