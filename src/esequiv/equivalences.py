@@ -1,15 +1,17 @@
 """The ten behavioural relations and the verdict matrix.
 
 Trace equivalences are decided on determinized transition systems without
-materializing languages; bisimulations by partition refinement on the
-disjoint union; the history-preserving family by greatest fixpoints over
-configuration pairs (weak variant) or triples carrying an explicit poset
-isomorphism (plain and hereditary variants).
+materializing languages; bisimulations by one rank-based pass that gives
+every state a class id bottom-up, since the systems are acyclic; the
+history-preserving family by greatest fixpoints over configuration pairs
+(weak variant) or triples carrying an explicit poset isomorphism (plain
+and hereditary variants).
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -165,96 +167,87 @@ def trace_equiv(la: Lts, lb: Lts, *, witness=False):
 
 
 # ---------------------------------------------------------------------------
-# bisimulation (all three modes) by partition refinement
+# bisimulation (all three modes) by one rank-based pass
 # ---------------------------------------------------------------------------
 
 
-def _refine_blocks(la: Lts, lb: Lts):
-    """Partition refinement on the disjoint union; returns block history."""
-    n_a = len(la.states)
-    index_a = {m: i for i, m in enumerate(la.states)}
-    index_b = {m: n_a + i for i, m in enumerate(lb.states)}
-    total = n_a + len(lb.states)
-    succ = [[] for _ in range(total)]
-    for src, label, dst in la.transitions:
-        succ[index_a[src]].append((label, index_a[dst]))
-    for src, label, dst in lb.transitions:
-        succ[index_b[src]].append((label, index_b[dst]))
-    block = [0] * total
-    history = [block]
-    while True:
-        sigs = []
-        for v in range(total):
-            outs = frozenset((label, block[w]) for label, w in succ[v])
-            sigs.append((block[v], tuple(sorted(outs))))
-        order = sorted(set(sigs))
-        if len(order) == len(set(block)):
-            break
-        remap = {sig: i for i, sig in enumerate(order)}
-        block = [remap[sig] for sig in sigs]
-        history.append(block)
-    return history, n_a, succ
+def _rank_pass(succ, order, table):
+    """Bisimulation class id of every state of an acyclic system, in one
+    bottom-up pass (the well-founded case of Dovier, Piazza & Policriti, TCS
+    2004).  `succ[v]` lists the (label id, successor) pairs of state v, and
+    `order` takes successors first.  A state's id interns in `table` the
+    sorted tuple of its pairs packed as successor id << 32 | label id (label
+    ids count table entries, so stay below 2**32); states of all systems
+    sharing a table get equal ids iff bisimilar."""
+    cls = [None] * len(succ)
+    for v in order:
+        sig = tuple(sorted({cls[w] << 32 | lab for lab, w in succ[v]}))
+        cls[v] = table.setdefault(sig, len(table))
+    return cls
+
+
+def _classes(lts: Lts, table):
+    """Class id of every state of `lts` in state order, labels interned in
+    `table` too.  States are sorted by size, so reversed order is bottom-up."""
+    index = {m: i for i, m in enumerate(lts.states)}
+    succ = [[] for _ in lts.states]
+    for src, label, dst in lts.transitions:
+        succ[index[src]].append((table.setdefault(label, len(table)), index[dst]))
+    return _rank_pass(succ, range(len(succ) - 1, -1, -1), table)
 
 
 def bisim(la: Lts, lb: Lts, *, witness=False):
     """Bisimilarity of the two rooted systems under their (common) mode."""
     if la.mode != lb.mode:
         raise ModeMismatch(f"cannot compare {la.mode} with {lb.mode}")
-    history, n_a, succ = _refine_blocks(la, lb)
-    final = history[-1]
-    root_a, root_b = 0, n_a  # states are sorted, the empty configuration first
-    ok = final[root_a] == final[root_b]
+    table = {}
+    ca, cb = _classes(la, table), _classes(lb, table)
+    ok = ca[0] == cb[0]  # states are sorted, the empty configuration first
     if not witness:
         return ok
     if ok:
         pairs = sorted(
-            (la.states[i], lb.states[j - n_a])
-            for i in range(n_a)
-            for j in range(n_a, len(final))
-            if final[i] == final[j]
+            (x, y) for x, c in zip(la.states, ca) for y, d in zip(lb.states, cb) if c == d
         )
         return True, RelationWitness(kind=f"{la.mode}-bisimulation", members=tuple(pairs))
-    moves, stuck_side, stuck_label, position = _bisim_attack(
-        history, succ, root_a, root_b
-    )
-    position = (la.states[position[0]], lb.states[position[1] - n_a])
-    return False, GameWitness(
-        moves=tuple(moves),
-        stuck_side=stuck_side,
-        stuck_label=stuck_label,
-        position=position,
-    )
+    return False, _bisim_line(la, lb, dict(zip(la.states, ca)), dict(zip(lb.states, cb)))
 
 
-def _split_round(history, u, v):
-    for r, block in enumerate(history):
-        if block[u] != block[v]:
-            return r
-    return None
+def _bisim_line(la: Lts, lb: Lts, cls_a, cls_b):
+    """Attacker line from the roots down a class mismatch to a stuck side.
 
+    Each move attains the distinguishing depth of its pair (the fewest moves
+    the attacker needs to win, computed only where the line goes) and takes
+    the least deep answer, so the line is no longer than the roots' depth.
+    """
+    sa, sb = la.successors, lb.successors
+    memo = {}
 
-def _bisim_attack(history, succ, u, v):
-    """Attacker line from an inequivalent pair to an immediately losing one."""
-    moves = []
+    def options(x, y):  # (mover, label, pairs an answer reaches) per attacker move
+        for label, x2 in sa[x]:
+            yield "left", label, [(x2, y2) for lab, y2 in sb[y] if lab == label]
+        for label, y2 in sb[y]:
+            yield "right", label, [(x2, y2) for lab, x2 in sa[x] if lab == label]
+
+    def value(answers):
+        return 1 + max(map(depth, answers), default=0)
+
+    def depth(pair):
+        if cls_a[pair[0]] == cls_b[pair[1]]:
+            return math.inf
+        if pair not in memo:
+            memo[pair] = min(value(answers) for _, _, answers in options(*pair))
+        return memo[pair]
+
+    pair, moves = (la.states[0], lb.states[0]), []
     while True:
-        r = _split_round(history, u, v)
-        prev = history[r - 1]
-        for side, p, q in (("left", u, v), ("right", v, u)):
-            for label, p2 in sorted(succ[p], key=lambda t: (repr(t[0]), prev[t[1]])):
-                answers = [q2 for lab, q2 in succ[q] if lab == label]
-                if not answers:
-                    return moves + [(side, label)], side, label, (u, v)
-                if all(prev[p2] != prev[q2] for q2 in answers):
-                    # every answer lands in a pair split strictly earlier
-                    q2 = min(answers, key=lambda w: _split_round(history, p2, w))
-                    moves.append((side, label))
-                    u, v = (p2, q2) if side == "left" else (q2, p2)
-                    break
-            else:
-                continue
-            break
-        else:  # pragma: no cover - unreachable when the pair is inequivalent
-            raise AssertionError("no distinguishing move found")
+        goal = depth(pair)
+        side, label, answers = next(o for o in options(*pair) if value(o[2]) == goal)
+        moves.append((side, label))
+        if not answers:
+            stuck = "right" if side == "left" else "left"
+            return GameWitness(tuple(moves), stuck_side=stuck, stuck_label=label, position=pair)
+        pair = min(answers, key=depth)
 
 
 # ---------------------------------------------------------------------------

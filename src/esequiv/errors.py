@@ -13,6 +13,10 @@ class DanglingId(ValidationError):
     """A relation pair or label refers to an event id outside 0..n-1."""
 
 
+class InvalidLabel(ValidationError):
+    """A label is not non-empty printable text without space or ``#``."""
+
+
 class CycleInCausality(ValidationError):
     """The transitive closure of the causes relation is reflexive somewhere."""
 

@@ -10,7 +10,9 @@ maximal-event-deleted substructure, so the sweep is complete.
 
 Buckets of cheap language invariants cut the quadratic pair testing; a
 bucket key is only ever an invariant implied by the chosen coarse relation,
-so bucketing never loses a qualifying pair.
+so bucketing never loses a qualifying pair.  Within a bucket, ib, sb and
+pb group members by the class of their root from one rank-based pass per
+member over one class table; other coarse relations are tested pairwise.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .equivalences import Relation, _indexed, check
+from .equivalences import _MODE_OF, Relation, _classes, _indexed, _rank_pass, check
 from .errors import NoPairFound, NotAnEes, SizeLimit
 from .semantics import MODE_INTERLEAVING, MODE_STEP, Semantics, configurations
 from .structure import EventStructure, canonical_form, restrict
@@ -86,8 +88,10 @@ def source_deleted_multiset(s: EventStructure):
 def _language_fingerprint(lts):
     """Canonical encoding of the minimal acceptor of the trace language.
 
-    Equal fingerprints iff equal languages: subset construction, then
-    coarsest stable partition, then breadth-first numbering of the quotient.
+    Equal fingerprints iff equal languages: subset construction, then the
+    language classes of the subsets in one bottom-up pass (on a
+    deterministic system they are its bisimulation classes), then
+    breadth-first numbering of the quotient.
     """
     rows = _indexed(lts)
     alphabet = sorted(rows)
@@ -113,36 +117,24 @@ def _language_fingerprint(lts):
                     out.append((ai, subsets[target]))
             trans.append(out)
         queue = nxt
-    # trans[i] built in id order because ids are assigned in BFS order
+    # trans[i] built in id order because ids are assigned in BFS order.
+    # States are sorted by size, so a subset's lowest state is one of its
+    # least size; every step grows that size, so the lowest bits decrease
+    # bottom-up.
+    lowest = [sub & -sub for sub in subsets]
     n = len(trans)
-    block = [0] * n
-    while True:
-        sigs = [
-            (block[i], tuple((ai, block[dst]) for ai, dst in trans[i]))
-            for i in range(n)
-        ]
-        order = {sig: k for k, sig in enumerate(sorted(set(sigs)))}
-        new = [order[sig] for sig in sigs]
-        if len(order) == len(set(block)):
-            break
-        block = new
-    # canonical numbering of the quotient, breadth-first in label order
+    block = _rank_pass(trans, sorted(range(n), key=lowest.__getitem__, reverse=True), {})
+    # canonical numbering of the quotient, breadth-first in label order:
+    # subset ids are breadth-first already, so the first subset of each
+    # class, in id order, meets the classes in the quotient's own BFS order
     number = {block[0]: 0}
     edges = []
-    worklist = [block[0]]
-    rep_of = {}
-    for i in range(n):
-        rep_of.setdefault(block[i], i)
-    while worklist:
-        nxt = []
-        for b in worklist:
-            for ai, dst in trans[rep_of[b]]:
-                db = block[dst]
-                if db not in number:
-                    number[db] = len(number)
-                    nxt.append(db)
-                edges.append((number[b], ai, number[db]))
-        worklist = nxt
+    done = set()
+    for i, out in enumerate(trans):
+        if block[i] not in done:
+            done.add(block[i])
+            for ai, dst in out:
+                edges.append((number[block[i]], ai, number.setdefault(block[dst], len(number))))
     return (tuple(alphabet), len(number), tuple(edges))
 
 
@@ -174,6 +166,9 @@ _PT_SOUND = {
     Relation.HHB,
     Relation.ISO,
 }
+
+#: coarse relations whose members are grouped by bisimulation class
+_CLASS_KEYED = (Relation.IB, Relation.SB, Relation.PB)
 
 
 @dataclass(frozen=True)
@@ -250,19 +245,29 @@ def _bucket_key(s, spec):
 
 
 def _process_bucket(args):
-    """Group one bucket by the coarse relation; return local qualifying pairs."""
+    """Group one bucket by the coarse relation, in member order; return the
+    groups, the number of pairs tested and the local qualifying pairs."""
     members, coarse, fine = args
     sems = [Semantics(s) for s in members]
-    groups = []
     pairs_tested = 0
-    for idx in range(len(members)):
-        for group in groups:
-            pairs_tested += 1
-            if check(coarse, sems[group[0]], sems[idx]):
-                group.append(idx)
-                break
-        else:
-            groups.append([idx])
+    if coarse in _CLASS_KEYED:
+        # a root's class under a table shared by the bucket is an exact key
+        table = {}
+        by_class = {}
+        for idx, sem in enumerate(sems):
+            root = _classes(sem.lts(_MODE_OF[coarse]), table)[0]
+            by_class.setdefault(root, []).append(idx)
+        groups = list(by_class.values())
+    else:
+        groups = []
+        for idx in range(len(members)):
+            for group in groups:
+                pairs_tested += 1
+                if check(coarse, sems[group[0]], sems[idx]):
+                    group.append(idx)
+                    break
+            else:
+                groups.append([idx])
     found = []
     for group in groups:
         for a in range(len(group)):
@@ -274,7 +279,7 @@ def _process_bucket(args):
                     if check(fine, sems[i], sems[j]):
                         continue
                 found.append((i, j))
-    return len(groups), pairs_tested, found
+    return groups, pairs_tested, found
 
 
 def find_minimal_pairs(spec: SearchSpec) -> SearchResult:
@@ -309,7 +314,7 @@ def find_minimal_pairs(spec: SearchSpec) -> SearchResult:
             outcomes = [_process_bucket(t) for t in tasks]
         found = []
         for members, (groups, tested, pairs) in zip(big, outcomes):
-            st.groups += groups
+            st.groups += len(groups)
             st.pairs_tested += tested
             found.extend((members[i], members[j]) for i, j in pairs)
         st.groups += sum(1 for members in buckets.values() if len(members) == 1)

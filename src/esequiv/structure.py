@@ -19,6 +19,7 @@ from .errors import (
     CausalityConflictOverlap,
     CycleInCausality,
     DanglingId,
+    InvalidLabel,
     SelfConflict,
 )
 
@@ -110,7 +111,7 @@ def build(count, labels, causes=(), conflicts=()) -> EventStructure:
     missing = [e for e in range(count) if e not in label_map]
     if missing:
         raise DanglingId(f"no label for event {missing[0]}")
-    lab = tuple(sys.intern(str(label_map[e])) for e in range(count))
+    lab = tuple(_label(label_map[e]) for e in range(count))
 
     down = [0] * count
     for a, b in causes:
@@ -165,6 +166,15 @@ def build(count, labels, causes=(), conflicts=()) -> EventStructure:
                 f"event {e} conflicts with one of its causes"
             )
     return EventStructure(labels=lab, down=tuple(down), conflicts=tuple(cf))
+
+
+def _label(value) -> Label:
+    """`value` as a label: non-empty printable text without space or ``#``,
+    so that ``.es`` reads it back and no NUL blurs the canonical form."""
+    label = str(value)
+    if not label or not label.isprintable() or " " in label or "#" in label:
+        raise InvalidLabel(f"label {label!r} is not printable text without space or '#'")
+    return sys.intern(label)
 
 
 def _up_closure(down, count, e):
@@ -288,7 +298,7 @@ def _remap(mask, index):
 def relabel(s: EventStructure, mapping) -> EventStructure:
     """Structure with every label replaced through `mapping`."""
     return EventStructure(
-        labels=tuple(sys.intern(str(mapping[l])) for l in s.labels),
+        labels=tuple(_label(mapping[l]) for l in s.labels),
         down=s.down,
         conflicts=s.conflicts,
     )

@@ -5,6 +5,9 @@ import pytest
 from esequiv.algebra import from_expr
 from esequiv.structure import build
 
+#: labels the label grammar accepts although they look odd
+ODD_LABELS = ("a.b", "τ", "x:y", "0", "[]", "é", "日本", "a-b_c", '"q"', "\\", "a|b")
+
 
 @pytest.fixture(scope="session")
 def ex22():

@@ -313,3 +313,87 @@ def o_matrix(s, t):
         Relation.HHB: o_hhb(s, t),
         Relation.ISO: o_iso(s, t),
     }
+
+
+# ---------------------------------------------------------------------------
+# bisimulation game witnesses, replayed on the transition systems
+# ---------------------------------------------------------------------------
+
+
+def _lts_succ(lts):
+    succ = {m: [] for m in lts.states}
+    for src, label, dst in lts.transitions:
+        succ[src].append((label, dst))
+    return succ
+
+
+def o_distinguishing_depth(la, lb):
+    """Fewest moves the attacker needs to win the bisimulation game from the
+    roots (None when the systems are bisimilar): the least k for which the
+    roots are not k-step bisimilar, found round by round over all pairs."""
+    succ_a, succ_b = _lts_succ(la), _lts_succ(lb)
+    alive = {(x, y) for x in la.states for y in lb.states}
+    root = (la.initial, lb.initial)
+    k = 0
+    while root in alive:
+        nxt = {
+            (x, y)
+            for x, y in alive
+            if all(
+                any(lab2 == lab and (x2, y2) in alive for lab2, y2 in succ_b[y])
+                for lab, x2 in succ_a[x]
+            )
+            and all(
+                any(lab2 == lab and (x2, y2) in alive for lab2, x2 in succ_a[x])
+                for lab, y2 in succ_b[y]
+            )
+        }
+        if nxt == alive:
+            return None
+        alive = nxt
+        k += 1
+    return k
+
+
+def game_witness_problems(la, lb, wit):
+    """Replay a GameWitness on the two systems; return what is wrong with it.
+
+    Every move but the last is a move of the attacker's side answered by the
+    other side with the same label; `position` must be reachable that way;
+    there the last move exists for the attacker and `stuck_side` has no move
+    with `stuck_label`; and the line is no longer than the roots'
+    distinguishing depth.
+    """
+    succ = {"left": _lts_succ(la), "right": _lts_succ(lb)}
+    if not wit.moves:
+        return ["no moves"]
+    *answered, (last_side, last_label) = wit.moves
+    reach = {(la.initial, lb.initial)}
+    for i, (side, label) in enumerate(answered):
+        reach = {
+            (x2, y2)
+            for x, y in reach
+            for lab_x, x2 in succ["left"][x]
+            if lab_x == label
+            for lab_y, y2 in succ["right"][y]
+            if lab_y == label
+        }
+        if not reach:
+            return [f"move {i} ({side}, {label!r}) cannot be played and answered"]
+    problems = []
+    if wit.position not in reach:
+        problems.append(f"position {wit.position} is not reached by the moves")
+    x, y = wit.position
+    here = {"left": x, "right": y}
+    if {last_side, wit.stuck_side} != {"left", "right"}:
+        problems.append(f"stuck side {wit.stuck_side} is the side that moved last")
+    elif last_label != wit.stuck_label:
+        problems.append("the last move is not the stuck label")
+    elif not any(lab == last_label for lab, _ in succ[last_side].get(here[last_side], ())):
+        problems.append("the last move does not exist at the position")
+    elif any(lab == last_label for lab, _ in succ[wit.stuck_side].get(here[wit.stuck_side], ())):
+        problems.append("the stuck side can answer the last move")
+    depth = o_distinguishing_depth(la, lb)
+    if depth is None or len(wit.moves) > depth:
+        problems.append(f"{len(wit.moves)} moves against distinguishing depth {depth}")
+    return problems

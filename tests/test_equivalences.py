@@ -19,10 +19,12 @@ from esequiv.equivalences import (
     whb_equiv,
 )
 from esequiv.errors import ModeMismatch
-from esequiv.semantics import MODE_INTERLEAVING, MODE_STEP, build_lts
+from esequiv.semantics import MODE_INTERLEAVING, MODE_STEP, MODES, build_lts
+from esequiv.spectrum import builtin_fixtures
 from esequiv.structure import build
 
 from conftest import random_structure
+from oracles import game_witness_problems, o_distinguishing_depth
 
 R = Relation
 
@@ -88,6 +90,30 @@ class TestBisim:
     def test_mode_mismatch(self):
         with pytest.raises(ModeMismatch):
             bisim(lts("a", MODE_STEP), lts("a", MODE_INTERLEAVING))
+
+    def test_game_witnesses_replay(self):
+        fixture = next(fx for fx in builtin_fixtures() if fx.name == "it-not-ib-cs")
+        rng = random.Random(61)
+        pairs = [(fixture.left, fixture.right)]
+        for _ in range(300):
+            alphabet = rng.choice([1, 2])
+            pairs.append(
+                (
+                    random_structure(rng, max_events=5, alphabet=alphabet),
+                    random_structure(rng, max_events=5, alphabet=alphabet),
+                )
+            )
+        deep = 0
+        for left, right in pairs:
+            for mode in MODES:
+                la, lb = build_lts(left, mode), build_lts(right, mode)
+                ok, wit = bisim(la, lb, witness=True)
+                depth = o_distinguishing_depth(la, lb)
+                assert ok == (depth is None)
+                if not ok:
+                    assert game_witness_problems(la, lb, wit) == [], (left, right, mode)
+                    deep += depth > 1
+        assert deep > 100  # the lines are not all one stuck move
 
 
 class TestPomsetTrace:

@@ -6,9 +6,9 @@ from esequiv.algebra import from_expr
 from esequiv.errors import CycleInCausality, ParseError
 from esequiv.formats import dumps_es, export_dot, loads_es, read_es, write_es
 from esequiv.semantics import build_lts
-from esequiv.structure import build
+from esequiv.structure import build, relabel
 
-from conftest import random_structure
+from conftest import ODD_LABELS, random_structure
 
 FIVE_EVENT_EES = """\
 es v1
@@ -96,6 +96,13 @@ class TestWrite:
             path = tmp_path / f"s{i}.es"
             write_es(s, path)
             assert read_es(path) == s
+
+    def test_round_trip_accepted_labels(self):
+        rng = random.Random(19)
+        for _ in range(100):
+            names = dict(zip("abc", rng.sample(ODD_LABELS, 3)))
+            s = relabel(random_structure(rng, max_events=8, alphabet=3), names)
+            assert loads_es(dumps_es(s)) == s
 
     def test_reduction_recloses(self):
         rng = random.Random(18)

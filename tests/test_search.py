@@ -1,13 +1,17 @@
 import itertools
 import random
+import re
 
 import pytest
 
 from esequiv.algebra import from_expr
-from esequiv.equivalences import Relation, trace_equiv
+from esequiv.equivalences import _MODE_OF, Relation, bisim, trace_equiv
 from esequiv.errors import NoPairFound, NotAnEes, SizeLimit
 from esequiv.search import (
     SearchSpec,
+    _bucket_key,
+    _process_bucket,
+    _poset_levels,
     enumerate_posets,
     find_minimal_pairs,
     it_fingerprint,
@@ -16,6 +20,8 @@ from esequiv.search import (
 )
 from esequiv.semantics import build_lts
 from esequiv.structure import EventStructure, build, canonical_form, isomorphic
+
+from oracles import o_step_traces, o_traces
 
 R = Relation
 
@@ -192,6 +198,55 @@ class TestSearch:
         text = res.certificate()
         assert "size 1:" in text and "size 2:" in text
         assert "first qualifying pairs at size 2" in text
+
+    def test_pb_coarse_groups_are_classes(self):
+        # on conflict-free structures the whole poset is a configuration
+        # pomset, so pb already forces isomorphism: every group is one class
+        for use in (True, False):
+            with pytest.raises(NoPairFound) as err:
+                find_minimal_pairs(
+                    SearchSpec(
+                        coarse=R.PB, fine=R.WHB, max_events=5, alphabet=2, use_filters=use
+                    )
+                )
+            sizes = re.findall(
+                r"size \d+: (\d+) classes, .* (\d+) groups, (\d+) pairs tested",
+                err.value.certificate,
+            )
+            assert len(sizes) == 5
+            for classes, groups, tested in sizes:
+                assert (groups, tested) == (classes, "0")
+
+    @pytest.mark.parametrize("coarse", [R.IB, R.SB, R.PB])
+    @pytest.mark.parametrize("alphabet, max_events", [(1, 6), (2, 4)])
+    @pytest.mark.parametrize("use_filters", [True, False])
+    def test_class_groups_equal_pairwise_groups(self, coarse, alphabet, max_events, use_filters):
+        spec = SearchSpec(
+            coarse=coarse, fine=R.ISO, max_events=max_events, alphabet=alphabet,
+            use_filters=use_filters,
+        )
+        # a trace language implied by the coarse relation, from the naive
+        # oracles, spares pairwise tests that cannot succeed
+        language = o_traces if coarse is R.IB else o_step_traces
+        mode = _MODE_OF[coarse]
+        for reps in _poset_levels(max_events, alphabet)[1:]:
+            buckets = {}
+            for s in reps:
+                buckets.setdefault(_bucket_key(s, spec), []).append(s)
+            for members in buckets.values():
+                systems = [build_lts(s, mode) for s in members]
+                keys = [frozenset(language(s)) for s in members]
+                pairwise = []
+                for idx in range(len(members)):
+                    for group in pairwise:
+                        first = group[0]
+                        if keys[first] == keys[idx] and bisim(systems[first], systems[idx]):
+                            group.append(idx)
+                            break
+                    else:
+                        pairwise.append([idx])
+                groups, tested, _ = _process_bucket((members, coarse, R.ISO))
+                assert (groups, tested) == (pairwise, 0)
 
     def test_parallel_matches_serial(self):
         serial = find_minimal_pairs(

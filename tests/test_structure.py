@@ -6,6 +6,7 @@ from esequiv.errors import (
     CausalityConflictOverlap,
     CycleInCausality,
     DanglingId,
+    InvalidLabel,
     SelfConflict,
 )
 from esequiv.structure import (
@@ -21,7 +22,7 @@ from esequiv.structure import (
 )
 from esequiv.algebra import from_expr
 
-from conftest import random_structure
+from conftest import ODD_LABELS, random_structure
 from oracles import o_iso
 
 
@@ -165,3 +166,29 @@ class TestCanonicalForm:
         t = relabel(s, {"a": "x", "b": "y"})
         assert t.labels == ("x", "y")
         assert t.down == s.down
+
+
+class TestLabels:
+    def test_nul_pair_rejected(self):
+        # with NUL in a label these two would share a canonical form
+        # without being isomorphic
+        for labels in ({0: "a\x00b", 1: "c"}, {0: "a", 1: "b\x00c"}):
+            with pytest.raises(InvalidLabel):
+                build(2, labels)
+
+    @pytest.mark.parametrize(
+        "label", ["", " ", "a b", "a\tb", "a\nb", "#", "a#b", "a\x00", "\u00a0", "\u2028", "\ud800"]
+    )
+    def test_rejected_by_build_and_relabel(self, label):
+        with pytest.raises(InvalidLabel):
+            build(1, [label])
+        with pytest.raises(InvalidLabel):
+            relabel(from_expr("a"), {"a": label})
+
+    def test_canonical_form_iff_isomorphic_on_odd_labels(self):
+        rng = random.Random(31)
+        for _ in range(120):
+            names = dict(zip("abc", rng.sample(ODD_LABELS, 3)))
+            s = relabel(random_structure(rng, max_events=5, alphabet=3), names)
+            t = relabel(random_structure(rng, max_events=5, alphabet=3), names)
+            assert (canonical_form(s) == canonical_form(t)) == o_iso(s, t)
