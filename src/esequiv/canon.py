@@ -1,30 +1,177 @@
-"""Kernel selection for canonical labeling.
+"""Canonical labeling of label-ranked two-relation graphs.
 
-Prefers the compiled extension; falls back to the pure-Python twin when the
-extension is missing, when ``ESEQUIV_KERNEL=python`` is set, or for inputs
-beyond the compiled kernel's 64-event limit.  Both kernels produce
-byte-identical encodings.
+Computes a canonical byte encoding of a vertex-labelled structure with one
+directed relation (causality, stored transitively closed) and one symmetric
+relation (conflict).  Two inputs get equal encodings iff some bijection
+preserves label ranks and both relations.
+
+Algorithm: equitable colour refinement from the label partition, then
+backtracking over individualizations of the first non-singleton cell,
+taking the lexicographically least leaf encoding.  Leaves that tie with
+the current best yield automorphisms, which prune sibling branches
+(orbit pruning); pruning never changes the minimum.  This is
+individualization-refinement as in McKay & Piperno, "Practical graph
+isomorphism, II" (J. Symbolic Computation, 2014).
 """
 
-import os
+KERNEL = "python"
 
-from . import _canon_py
 
-try:
-    from . import _canonc
-except ImportError:  # pragma: no cover - depends on build environment
-    _canonc = None
+def _refine(n, colors, down, up, cf):
+    """Equitable refinement; returns a stable coloring refining `colors`.
 
-if _canonc is not None and os.environ.get("ESEQUIV_KERNEL") != "python":
-    _default = _canonc
-else:
-    _default = _canon_py
+    Cell order is determined by (old colour, neighbour-count signature),
+    so isomorphic inputs refine to identically ordered partitions.
+    """
+    while True:
+        k = max(colors) + 1
+        if k == n:
+            return colors
+        cell = [0] * k
+        for v in range(n):
+            cell[colors[v]] |= 1 << v
+        sigs = []
+        for v in range(n):
+            s = colors[v]
+            dv, uv, cv = down[v], up[v], cf[v]
+            for cm in cell:
+                s = (
+                    (s << 24)
+                    | ((dv & cm).bit_count() << 16)
+                    | ((uv & cm).bit_count() << 8)
+                    | (cv & cm).bit_count()
+                )
+            sigs.append(s)
+        uniq = sorted(set(sigs))
+        if len(uniq) == k:
+            return colors
+        index = {s: i for i, s in enumerate(uniq)}
+        colors = [index[s] for s in sigs]
 
-KERNEL = _default.KERNEL_NAME
+
+def _individualize(colors, v):
+    """Split v off as its own cell, placed just before the rest of its cell."""
+    c = colors[v]
+    return [
+        col + 1 if (col > c or (col == c and u != v)) else col
+        for u, col in enumerate(colors)
+    ]
+
+
+def _encode(n, perm, lranks, down, cf):
+    """Encode the structure under the vertex order perm (position -> vertex)."""
+    out = bytearray([n])
+    out += bytes(lranks[v] for v in perm)
+    acc = 0
+    nb = 0
+    for i in range(n):
+        pi = perm[i]
+        for j in range(n):
+            acc = (acc << 1) | ((down[perm[j]] >> pi) & 1)
+            nb += 1
+            if nb == 8:
+                out.append(acc)
+                acc = 0
+                nb = 0
+    if nb:
+        out.append(acc << (8 - nb))
+        acc = 0
+        nb = 0
+    for i in range(n):
+        ci = cf[perm[i]]
+        for j in range(i + 1, n):
+            acc = (acc << 1) | ((ci >> perm[j]) & 1)
+            nb += 1
+            if nb == 8:
+                out.append(acc)
+                acc = 0
+                nb = 0
+    if nb:
+        out.append(acc << (8 - nb))
+    return bytes(out)
 
 
 def canon_encode(n, lranks, down, cf):
-    """Canonical (encoding, permutation) of a label-ranked two-relation graph."""
-    if _default is _canon_py or n > 64:
-        return _canon_py.canon_encode(n, lranks, down, cf)
-    return _canonc.canon_encode(n, lranks, down, cf)
+    """Return (canonical encoding bytes, permutation position -> vertex)."""
+    if n == 0:
+        return b"\x00", []
+    if n > 255:
+        raise ValueError("canonical encoding supports at most 255 events")
+    up = [0] * n
+    for v in range(n):
+        m = down[v]
+        while m:
+            low = m & -m
+            up[low.bit_length() - 1] |= 1 << v
+            m ^= low
+    rank_index = {r: i for i, r in enumerate(sorted(set(lranks)))}
+    colors = _refine(n, [rank_index[r] for r in lranks], down, up, cf)
+
+    best_enc = None
+    best_perm = None
+    gens = []  # discovered automorphisms, as full vertex maps
+
+    def leaf(colors):
+        nonlocal best_enc, best_perm
+        perm = [0] * n
+        for v in range(n):
+            perm[colors[v]] = v
+        enc = _encode(n, perm, lranks, down, cf)
+        if best_enc is None or enc < best_enc:
+            best_enc = enc
+            best_perm = perm
+        elif enc == best_enc:
+            sigma = [0] * n
+            for i in range(n):
+                sigma[best_perm[i]] = perm[i]
+            if any(sigma[v] != v for v in range(n)):
+                gens.append(sigma)
+
+    def orbit_reps(path):
+        """Union-find over vertices, merged along generators fixing `path`."""
+        parent = list(range(n))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for g in gens:
+            if all(g[p] == p for p in path):
+                for v in range(n):
+                    a, b = find(v), find(g[v])
+                    if a != b:
+                        if a < b:
+                            parent[b] = a
+                        else:
+                            parent[a] = b
+        return find
+
+    def rec(colors, path):
+        k = max(colors) + 1
+        if k == n:
+            leaf(colors)
+            return
+        target = -1
+        for c in range(k):
+            if sum(1 for col in colors if col == c) >= 2:
+                target = c
+                break
+        members = [v for v in range(n) if colors[v] == target]
+        explored = []
+        gens_seen = -1
+        find = None
+        for v in members:
+            if explored:
+                if len(gens) != gens_seen:
+                    find = orbit_reps(path)
+                    gens_seen = len(gens)
+                fv = find(v)
+                if any(find(u) == fv for u in explored):
+                    continue
+            rec(_refine(n, _individualize(colors, v), down, up, cf), path + [v])
+            explored.append(v)
+
+    rec(colors, [])
+    return best_enc, best_perm

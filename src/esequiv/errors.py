@@ -6,7 +6,8 @@ class EsError(Exception):
 
 
 class ValidationError(EsError):
-    """A structure description violates one of the defining axioms."""
+    """A structure or transition-system description violates one of its
+    defining axioms."""
 
 
 class DanglingId(ValidationError):

@@ -15,10 +15,11 @@ stay close to the drawings they describe; reading re-closes both.
 
 from __future__ import annotations
 
-from .errors import ParseError
+from .errors import InvalidLabel, ParseError
 from .semantics import Lts, MODE_INTERLEAVING, MODE_STEP, config_text
 from .structure import (
     EventStructure,
+    _label,
     build,
     minimal_conflict_pairs,
     transitive_reduction,
@@ -48,7 +49,10 @@ def loads_es(text: str) -> EventStructure:
             eid = _parse_id(parts[1], lineno)
             if eid in labels:
                 raise ParseError(f"event {eid} declared twice", lineno)
-            labels[eid] = parts[2]
+            try:
+                labels[eid] = _label(parts[2])
+            except InvalidLabel as err:
+                raise ParseError(str(err), lineno) from err
         elif parts[0] in ("cause", "conflict"):
             if len(parts) != 3:
                 raise ParseError(f"{parts[0]} lines take two ids", lineno)
@@ -116,13 +120,19 @@ def export_dot(obj) -> str:
 def _structure_dot(s: EventStructure) -> str:
     out = ["digraph es {", "  rankdir=BT;"]
     for e in range(s.n):
-        out.append(f'  e{e} [label="e{e}:{s.labels[e]}"];')
+        text = _dot_string(f"e{e}:{s.labels[e]}")
+        out.append(f"  e{e} [label={text}];")
     for a, b in transitive_reduction(s):
         out.append(f"  e{a} -> e{b};")
     for a, b in minimal_conflict_pairs(s):
         out.append(f"  e{a} -> e{b} [style=dashed, dir=none, constraint=false];")
     out.append("}")
     return "\n".join(out) + "\n"
+
+
+def _dot_string(text: str) -> str:
+    """`text` as a quoted DOT string: event labels may hold ``"`` and ``\\``."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def _label_text(mode, label) -> str:
@@ -143,8 +153,7 @@ def _lts_dot(lts: Lts) -> str:
     for mask in lts.states:
         out.append(f'  n{index[mask]} [label="{config_text(mask)}"];')
     for src, label, dst in lts.transitions:
-        out.append(
-            f'  n{index[src]} -> n{index[dst]} [label="{_label_text(lts.mode, label)}"];'
-        )
+        text = _dot_string(_label_text(lts.mode, label))
+        out.append(f"  n{index[src]} -> n{index[dst]} [label={text}];")
     out.append("}")
     return "\n".join(out) + "\n"

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import ModeMismatch, NotAConfiguration, SizeLimit
+from .errors import ModeMismatch, NotAConfiguration, SizeLimit, ValidationError
 from .structure import EventStructure, _bits, canonical_form, restrict, transitive_reduction
 
 MODE_INTERLEAVING = "interleaving"
@@ -107,12 +107,34 @@ def config_text(mask: int) -> str:
 
 @dataclass(frozen=True)
 class Lts:
-    """Explicit transition system over configurations, rooted at the empty one."""
+    """Explicit transition system over configurations, rooted at the empty one.
+
+    The initial state comes first, states are in nondecreasing size, and
+    every transition joins two states, the target strictly containing the
+    source; anything else raises `ValidationError`.
+    """
 
     mode: str
     states: tuple[int, ...]
     transitions: tuple[tuple[int, object, int], ...]
     initial: int = 0
+
+    def __post_init__(self):
+        # the deciders take states[0] as the root and read the states in
+        # reverse as bottom-up
+        states = self.states
+        if not states or states[0] != self.initial:
+            raise ValidationError(f"the first state must be the initial state {self.initial}")
+        sizes = [m.bit_count() for m in states]
+        if sizes != sorted(sizes):
+            raise ValidationError("states must be in nondecreasing configuration size")
+        members = set(states)
+        for src, label, dst in self.transitions:
+            if src | dst != dst or src == dst or src not in members or dst not in members:
+                raise ValidationError(
+                    f"transition {config_text(src)} --{label!r}--> {config_text(dst)} "
+                    "does not join a state to a strictly larger one"
+                )
 
     @cached_property
     def successors(self):

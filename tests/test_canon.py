@@ -1,55 +1,55 @@
-"""Kernel-level properties: compiled/pure parity and exactness."""
+"""Kernel-level properties: exactness under symmetry."""
 
 import random
 
-import pytest
-
-from esequiv import _canon_py
 from esequiv.search import enumerate_posets
-from esequiv.structure import canonical_form
-
-from conftest import random_structure
-
-try:
-    from esequiv import _canonc
-except ImportError:
-    _canonc = None
+from esequiv.structure import build, canonical_form, isomorphic
 
 
-def _kernel_inputs(s):
-    table = sorted(set(s.labels))
-    rank = {l: i for i, l in enumerate(table)}
-    return s.n, [rank[l] for l in s.labels], list(s.down), list(s.conflicts)
-
-
-@pytest.mark.skipif(_canonc is None, reason="compiled kernel not built")
-def test_kernel_parity():
-    rng = random.Random(31)
-    for _ in range(400):
-        s = random_structure(rng, max_events=8, alphabet=rng.choice([1, 2, 3]))
-        n, lranks, down, cf = _kernel_inputs(s)
-        assert _canon_py.canon_encode(n, lranks, down, cf) == _canonc.canon_encode(
-            n, lranks, down, cf
-        )
-
-
-@pytest.mark.skipif(_canonc is None, reason="compiled kernel not built")
-def test_kernel_parity_symmetric_cases():
-    # large automorphism groups exercise the orbit pruning
-    for n in range(1, 9):
-        assert _canon_py.canon_encode(n, [0] * n, [0] * n, [0] * n) == _canonc.canon_encode(
-            n, [0] * n, [0] * n, [0] * n
-        )
-    # disjoint identical chains
-    down = [0, 0, 0, 0b0001, 0b0010, 0b0100]
-    assert _canon_py.canon_encode(6, [0] * 6, down, [0] * 6) == _canonc.canon_encode(
-        6, [0] * 6, down, [0] * 6
+def _shuffled(s, rng):
+    """`s` with its events renumbered at random."""
+    new = list(range(s.n))
+    rng.shuffle(new)
+    return build(
+        s.n,
+        {new[e]: s.labels[e] for e in range(s.n)},
+        [(new[a], new[b]) for a, b in s.causality_pairs()],
+        [(new[a], new[b]) for a, b in s.conflict_pairs()],
     )
 
 
-def test_empty_structure_code_unique():
-    from esequiv.structure import build
+def _is_isomorphism(s, t, mapping):
+    """`mapping` is a bijection s -> t preserving labels, causality and conflict."""
+    if sorted(mapping) != list(range(s.n)) or sorted(mapping.values()) != list(range(t.n)):
+        return False
+    return all(
+        s.labels[a] == t.labels[mapping[a]]
+        and ((s.down[b] >> a) & 1) == ((t.down[mapping[b]] >> mapping[a]) & 1)
+        and ((s.conflicts[b] >> a) & 1) == ((t.conflicts[mapping[b]] >> mapping[a]) & 1)
+        for a in range(s.n)
+        for b in range(s.n)
+    )
 
+
+def test_symmetric_inputs_shuffled():
+    # large automorphism groups exercise the orbit pruning: antichains of
+    # 1..8 events, three disjoint identical chains, and conflict forming two
+    # triangles and a hexagon, whose first cell after refinement holds two orbits
+    cases = [build(n, ["a"] * n) for n in range(1, 9)]
+    cases.append(build(6, ["a"] * 6, [(0, 3), (1, 4), (2, 5)]))
+    cycles = ((0, 1, 2), (3, 4, 5), (6, 7, 8, 9, 10, 11))
+    conflicts = [(c[i - 1], c[i]) for c in cycles for i in range(len(c))]
+    cases.append(build(12, ["a"] * 12, (), conflicts))
+    rng = random.Random(41)
+    for s in cases:
+        for _ in range(5):
+            t = _shuffled(s, rng)
+            assert canonical_form(t) == canonical_form(s)
+            ok, mapping = isomorphic(s, t)
+            assert ok and _is_isomorphism(s, t, mapping)
+
+
+def test_empty_structure_code_unique():
     assert canonical_form(build(0, {})) == canonical_form(build(0, {}))
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -64,6 +65,7 @@ class TestRead:
             ("es v1\nevent 0 a\nevent 0 b\n", 3),
             ("es v1\nfrobnicate 1 2\n", 2),
             ("es v1\nevent 0 a\ncause 0 x\n", 3),
+            ("es v1\nevent 0 a\x01b\n", 2),
         ],
     )
     def test_parse_errors_carry_line(self, text, line):
@@ -124,6 +126,20 @@ class TestDot:
     def test_deterministic(self, ex22):
         for obj in (ex22, build_lts(ex22, "step"), build_lts(ex22, "pomset")):
             assert export_dot(obj) == export_dot(obj)
+
+    def test_labels_are_dot_strings(self):
+        # `"` and `\` are accepted in labels and must be escaped in DOT
+        quoted = re.compile(r'  \w+( -> \w+)? \[label="((?:[^"\\]|\\["\\])*)"\];')
+        chain = [(e, e + 1) for e in range(len(ODD_LABELS) - 1)]
+        odd = build(len(ODD_LABELS), ODD_LABELS, chain)
+        for s in (build(1, ['"q"']), build(2, ["a\\b", '"c']), odd):
+            for obj in (s, *(build_lts(s, mode) for mode in ("interleaving", "step", "pomset"))):
+                lines = [l for l in export_dot(obj).splitlines() if "label=" in l]
+                assert all(quoted.fullmatch(l) for l in lines), export_dot(obj)
+            texts = [quoted.fullmatch(l)[2] for l in export_dot(s).splitlines() if "label=" in l]
+            assert [re.sub(r"\\(.)", r"\1", t) for t in texts] == [
+                f"e{e}:{l}" for e, l in enumerate(s.labels)
+            ]
 
     def test_rejects_other_types(self):
         with pytest.raises(TypeError):

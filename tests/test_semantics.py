@@ -7,12 +7,13 @@ import pytest
 
 from esequiv import structure
 from esequiv.algebra import from_expr
-from esequiv.equivalences import Relation, check, full_matrix
-from esequiv.errors import NotAConfiguration, SizeLimit
+from esequiv.equivalences import Relation, bisim, check, full_matrix
+from esequiv.errors import NotAConfiguration, SizeLimit, ValidationError
 from esequiv.semantics import (
     MODE_INTERLEAVING,
     MODE_POMSET,
     MODE_STEP,
+    Lts,
     Semantics,
     build_lts,
     configurations,
@@ -140,6 +141,16 @@ class TestLts:
         big = build(31, {i: "a" for i in range(31)})
         with pytest.raises(SizeLimit):
             build_lts(big, MODE_INTERLEAVING)
+
+    def test_rejects_systems_the_deciders_cannot_read(self):
+        # the root out of first place used to end in a TypeError inside bisim
+        with pytest.raises(ValidationError):
+            bisim(
+                Lts(MODE_INTERLEAVING, (1, 0), ((0, "a", 1),)),
+                Lts(MODE_INTERLEAVING, (0, 1), ((0, "a", 1),)),
+            )
+        with pytest.raises(ValidationError):
+            Lts(MODE_INTERLEAVING, (0, 1), ((0, "a", 1), (1, "b", 0)))
 
     def test_cs_steps_and_pomsets_coincide(self):
         # without causality a pomset is just a multiset
