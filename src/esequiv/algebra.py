@@ -164,8 +164,6 @@ def compile_term(term: Term) -> EventStructure:
     rec(term)
     try:
         return build(len(labels), labels, causes, conflicts)
-    except NotPrime:
-        raise
     except SelfConflict as exc:
         raise NotPrime(f"term does not denote a prime structure: {exc}") from exc
 

@@ -14,7 +14,12 @@ individualization-refinement as in McKay & Piperno, "Practical graph
 isomorphism, II" (J. Symbolic Computation, 2014).
 """
 
+from .errors import SizeLimit
+
 KERNEL = "python"
+
+#: the encoding writes the event count and each label rank as one byte
+MAX_CANON_EVENTS = 255
 
 
 def _refine(n, colors, down, up, cf):
@@ -95,8 +100,10 @@ def canon_encode(n, lranks, down, cf):
     """Return (canonical encoding bytes, permutation position -> vertex)."""
     if n == 0:
         return b"\x00", []
-    if n > 255:
-        raise ValueError("canonical encoding supports at most 255 events")
+    if n > MAX_CANON_EVENTS:
+        raise SizeLimit(
+            f"canonical encoding supports at most {MAX_CANON_EVENTS} events, got {n}"
+        )
     up = [0] * n
     for v in range(n):
         m = down[v]

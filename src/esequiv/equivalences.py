@@ -69,6 +69,14 @@ INCLUSION_ARROWS = (
 )
 
 
+def implies(finer: Relation, coarser: Relation) -> bool:
+    """Whether `finer` holding forces `coarser` to hold: the reflexive and
+    transitive closure of INCLUSION_ARROWS."""
+    return finer is coarser or any(
+        implies(mid, coarser) for fine, mid in INCLUSION_ARROWS if fine is finer
+    )
+
+
 @dataclass(frozen=True)
 class TraceWitness:
     """A label sequence possible on `side` only; minimal (shortest, then lex)."""
@@ -374,8 +382,14 @@ def _hp_universe(ma: Semantics, mb: Semantics):
     """All triples (X, Y, f) with f an isomorphism poset(X) -> poset(Y).
 
     f is stored as the tuple of images of X's events in ascending id order.
+    The left memo keeps the triples for the most recent right structure, so
+    hb and hhb on one pair share them.  Keyed by the structure, not its
+    memo, so that a memo compared with itself holds no reference cycle.
     """
     sa, sb = ma.s, mb.s
+    right, triples = ma._universe
+    if right is sb:
+        return triples
     down_in_b = {m: [sb.down[f] & m for f in range(sb.n)] for m in mb.configurations}
     triples = set()
     for x in ma.configurations:
@@ -385,6 +399,7 @@ def _hp_universe(ma: Semantics, mb: Semantics):
             db = down_in_b[y]
             for mapping in _enumerate_isos(sa, sb, xe, list(_bits(y)), da, db):
                 triples.add((x, y, tuple(mapping[e] for e in xe)))
+    ma._universe = (sb, triples)
     return triples
 
 
@@ -406,9 +421,9 @@ def _image_of(x, ftuple, mask):
     return out
 
 
-def _hp_fixpoint(ma, mb, hereditary, universe, *, witness=False):
+def _hp_fixpoint(ma, mb, hereditary, *, witness=False):
     sa, sb = ma.s, mb.s
-    alive = set(universe)
+    alive = set(_hp_universe(ma, mb))
     en_a, en_b = ma.enabled, mb.enabled
     root = (0, 0, ())
 
@@ -456,22 +471,29 @@ def _hp_fixpoint(ma, mb, hereditary, universe, *, witness=False):
 def hb_equiv(sa: EventStructure, sb: EventStructure, *, witness=False):
     """History preserving bisimilarity: isomorphisms must grow along the play."""
     ma, mb = _memos(sa, sb)
-    universe = _hp_universe(ma, mb)
-    return _hp_fixpoint(ma, mb, hereditary=False, universe=universe, witness=witness)
+    return _hp_fixpoint(ma, mb, hereditary=False, witness=witness)
 
 
 def hhb_equiv(sa: EventStructure, sb: EventStructure, *, witness=False):
     """Hereditary history preserving bisimilarity: also closed under
     single-event backtracking on both sides."""
     ma, mb = _memos(sa, sb)
-    universe = _hp_universe(ma, mb)
-    return _hp_fixpoint(ma, mb, hereditary=True, universe=universe, witness=witness)
+    return _hp_fixpoint(ma, mb, hereditary=True, witness=witness)
+
+
+def _iso(ma: Semantics, mb: Semantics, *, witness=False):
+    ok, mapping = isomorphic(ma.s, mb.s)
+    if not witness:
+        return ok
+    return ok, (IsoWitness(tuple(sorted(mapping.items()))) if ok else None)
 
 
 # ---------------------------------------------------------------------------
 # dispatch and the full matrix
 # ---------------------------------------------------------------------------
 
+#: relations decided on one transition system per side: trace equivalence
+#: for it and st, bisimulation for the others
 _MODE_OF = {
     Relation.IT: MODE_INTERLEAVING,
     Relation.IB: MODE_INTERLEAVING,
@@ -480,31 +502,27 @@ _MODE_OF = {
     Relation.PB: MODE_POMSET,
 }
 
+#: relations decided on the memos.  Each decider is looked up by name when
+#: called, so a wrapper put in this module's globals sees every call.
+_ON_MEMOS = {
+    Relation.PT: lambda ma, mb, w: pomset_trace_equiv(ma, mb, witness=w),
+    Relation.WHB: lambda ma, mb, w: whb_equiv(ma, mb, witness=w),
+    Relation.HB: lambda ma, mb, w: hb_equiv(ma, mb, witness=w),
+    Relation.HHB: lambda ma, mb, w: hhb_equiv(ma, mb, witness=w),
+    Relation.ISO: lambda ma, mb, w: _iso(ma, mb, witness=w),
+}
+
 
 def check(rel: Relation, sa: EventStructure, sb: EventStructure, *, witness=False):
     """Decide one relation between two structures (or memos of them)."""
     ma, mb = _memos(sa, sb)
-    if rel in (Relation.IT, Relation.ST):
-        mode = _MODE_OF[rel]
-        return trace_equiv(ma.lts(mode), mb.lts(mode), witness=witness)
-    if rel in (Relation.IB, Relation.SB, Relation.PB):
-        mode = _MODE_OF[rel]
-        return bisim(ma.lts(mode), mb.lts(mode), witness=witness)
-    if rel is Relation.PT:
-        return pomset_trace_equiv(ma, mb, witness=witness)
-    if rel is Relation.WHB:
-        return whb_equiv(ma, mb, witness=witness)
-    if rel is Relation.HB:
-        return hb_equiv(ma, mb, witness=witness)
-    if rel is Relation.HHB:
-        return hhb_equiv(ma, mb, witness=witness)
-    if rel is Relation.ISO:
-        ok, mapping = isomorphic(ma.s, mb.s)
-        if witness:
-            wit = IsoWitness(tuple(sorted(mapping.items()))) if ok else None
-            return ok, wit
-        return ok
-    raise ValueError(f"unknown relation {rel!r}")
+    mode = _MODE_OF.get(rel)
+    if mode is not None:
+        decide = trace_equiv if rel in (Relation.IT, Relation.ST) else bisim
+        return decide(ma.lts(mode), mb.lts(mode), witness=witness)
+    if rel not in _ON_MEMOS:
+        raise ValueError(f"unknown relation {rel!r}")
+    return _ON_MEMOS[rel](ma, mb, witness)
 
 
 @dataclass(frozen=True)
@@ -530,37 +548,13 @@ class VerdictMatrix:
 
 def full_matrix(sa: EventStructure, sb: EventStructure, *, witness=False) -> VerdictMatrix:
     """Run all ten checks and assert consistency with the proven inclusions."""
-    verdicts = {}
-    witnesses = {}
     ma, mb = _memos(sa, sb)
-    li_a, li_b = ma.lts(MODE_INTERLEAVING), mb.lts(MODE_INTERLEAVING)
-    ls_a, ls_b = ma.lts(MODE_STEP), mb.lts(MODE_STEP)
-    lp_a, lp_b = ma.lts(MODE_POMSET), mb.lts(MODE_POMSET)
-
-    def put(rel, result):
-        if witness:
-            verdicts[rel], witnesses[rel] = result
-        else:
-            verdicts[rel] = result
-
-    put(Relation.IT, trace_equiv(li_a, li_b, witness=witness))
-    put(Relation.ST, trace_equiv(ls_a, ls_b, witness=witness))
-    put(Relation.IB, bisim(li_a, li_b, witness=witness))
-    put(Relation.SB, bisim(ls_a, ls_b, witness=witness))
-    put(Relation.PB, bisim(lp_a, lp_b, witness=witness))
-    put(Relation.PT, pomset_trace_equiv(ma, mb, witness=witness))
-    put(Relation.WHB, whb_equiv(ma, mb, witness=witness))
-    universe = _hp_universe(ma, mb)
-    put(
-        Relation.HB,
-        _hp_fixpoint(ma, mb, hereditary=False, universe=universe, witness=witness),
-    )
-    put(
-        Relation.HHB,
-        _hp_fixpoint(ma, mb, hereditary=True, universe=universe, witness=witness),
-    )
-    put(Relation.ISO, check(Relation.ISO, ma, mb, witness=witness))
-
+    results = {rel: check(rel, ma, mb, witness=witness) for rel in MATRIX_ORDER}
+    if witness:
+        verdicts = {rel: ok for rel, (ok, _) in results.items()}
+        witnesses = {rel: wit for rel, (_, wit) in results.items()}
+    else:
+        verdicts, witnesses = results, {}
     for fine, coarse in INCLUSION_ARROWS:
         if verdicts[fine] and not verdicts[coarse]:
             raise SpectrumViolation(

@@ -21,7 +21,7 @@ from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .equivalences import _MODE_OF, Relation, _classes, _indexed, _rank_pass, check
+from .equivalences import _MODE_OF, Relation, _classes, _indexed, _rank_pass, check, implies
 from .errors import NoPairFound, NotAnEes, SizeLimit
 from .semantics import MODE_INTERLEAVING, MODE_STEP, Semantics, configurations
 from .structure import EventStructure, canonical_form, restrict
@@ -146,27 +146,6 @@ def st_fingerprint(s: EventStructure):
     return _language_fingerprint(Semantics.of(s).lts(MODE_STEP))
 
 
-# bucket invariants sound for each coarse relation (beyond the always-sound
-# label multiset and interleaving language)
-_ST_SOUND = {
-    Relation.ST,
-    Relation.SB,
-    Relation.PT,
-    Relation.PB,
-    Relation.WHB,
-    Relation.HB,
-    Relation.HHB,
-    Relation.ISO,
-}
-_PT_SOUND = {
-    Relation.PT,
-    Relation.PB,
-    Relation.WHB,
-    Relation.HB,
-    Relation.HHB,
-    Relation.ISO,
-}
-
 #: coarse relations whose members are grouped by bisimulation class
 _CLASS_KEYED = (Relation.IB, Relation.SB, Relation.PB)
 
@@ -235,9 +214,9 @@ def _bucket_key(s, spec):
     key = [tuple(sorted(s.labels))]
     if spec.use_filters:
         key.append(it_fingerprint(sem))
-        if spec.coarse in _ST_SOUND:
+        if implies(spec.coarse, Relation.ST):
             key.append(st_fingerprint(sem))
-        if spec.coarse in _PT_SOUND:
+        if implies(spec.coarse, Relation.PT):
             key.append(frozenset(sem.by_code))
     if spec.sdm_filter:
         key.append(source_deleted_multiset(s))

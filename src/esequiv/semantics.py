@@ -144,10 +144,6 @@ class Lts:
             succ[src].append((label, dst))
         return {m: tuple(sorted(v)) for m, v in succ.items()}
 
-    @cached_property
-    def alphabet(self):
-        return tuple(sorted({label for _, label, _ in self.transitions}))
-
 
 class Semantics:
     """The facts about one structure that the relations read, each computed
@@ -164,6 +160,9 @@ class Semantics:
         self.s = s
         self._codes = {}
         self._lts = {}
+        # (right structure, history-preserving triples), kept by
+        # equivalences._hp_universe
+        self._universe = (None, None)
 
     @classmethod
     def of(cls, s):

@@ -210,62 +210,35 @@ def corpus_pairs(spec: CorpusSpec):
 # only: verdicts on truncations say nothing about the unbounded structures.
 
 
+def _chains(words) -> EventStructure:
+    """Disjoint chains, one per label word, events numbered word by word."""
+    labels = []
+    causes = []
+    for word in words:
+        base = len(labels)
+        labels.extend(word)
+        causes.extend((e, e + 1) for e in range(base, len(labels) - 1))
+    return build(len(labels), labels, causes, ())
+
+
 def triangle(k: int) -> EventStructure:
     """k columns, column i a chain of i+1 events, all labelled a."""
-    labels = {}
-    causes = []
-    eid = 0
-    for i in range(k):
-        prev = None
-        for _ in range(i + 1):
-            labels[eid] = "a"
-            if prev is not None:
-                causes.append((prev, eid))
-            prev = eid
-            eid += 1
-    return build(eid, labels, causes, ())
+    return _chains(["a" * (i + 1) for i in range(k)])
 
 
 def grid(k: int, d: int) -> EventStructure:
     """k columns, each a chain of d events, all labelled a."""
-    labels = {}
-    causes = []
-    eid = 0
-    for _ in range(k):
-        prev = None
-        for _ in range(d):
-            labels[eid] = "a"
-            if prev is not None:
-                causes.append((prev, eid))
-            prev = eid
-            eid += 1
-    return build(eid, labels, causes, ())
+    return _chains(["a" * d] * k)
 
 
 def arow(k: int) -> EventStructure:
     """One isolated a next to k two-chains a < b."""
-    labels = {0: "a"}
-    causes = []
-    eid = 1
-    for _ in range(k):
-        labels[eid] = "a"
-        labels[eid + 1] = "b"
-        causes.append((eid, eid + 1))
-        eid += 2
-    return build(eid, labels, causes, ())
+    return _chains(["a"] + ["ab"] * k)
 
 
 def abrow(k: int) -> EventStructure:
     """k two-chains a < b."""
-    labels = {}
-    causes = []
-    eid = 0
-    for _ in range(k):
-        labels[eid] = "a"
-        labels[eid + 1] = "b"
-        causes.append((eid, eid + 1))
-        eid += 2
-    return build(eid, labels, causes, ())
+    return _chains(["ab"] * k)
 
 
 # ---------------------------------------------------------------------------

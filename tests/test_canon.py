@@ -2,6 +2,9 @@
 
 import random
 
+import pytest
+
+from esequiv.errors import SizeLimit
 from esequiv.search import enumerate_posets
 from esequiv.structure import build, canonical_form, isomorphic
 
@@ -57,3 +60,8 @@ def test_four_event_single_label_classes():
     # distinct canonical forms over all one-label posets on four events
     forms = {canonical_form(s) for s in enumerate_posets(4, 1)}
     assert len(forms) == 16
+
+
+def test_event_bound_is_a_size_limit():
+    with pytest.raises(SizeLimit, match="at most 255 events"):
+        canonical_form(build(256, ["a"] * 256))

@@ -32,6 +32,11 @@ class TestCheck:
     def test_missing_file_exits_two(self):
         assert run(["check", "iso", "--file", "/nonexistent.es", "--expr", "a"]) == 2
 
+    def test_too_many_events_for_iso_exits_two(self, capsys):
+        wide = "||".join(["a"] * 256)
+        assert run(["check", "iso", "--expr", wide, "--expr", wide]) == 2
+        assert "error: canonical encoding supports at most 255 events" in capsys.readouterr().err
+
 
 class TestMatrix:
     def test_seq_vs_par(self, capsys):

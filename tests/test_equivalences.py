@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
 
+import esequiv.equivalences as eq
 from esequiv.algebra import from_expr
 from esequiv.equivalences import (
     INCLUSION_ARROWS,
@@ -19,7 +21,7 @@ from esequiv.equivalences import (
     whb_equiv,
 )
 from esequiv.errors import ModeMismatch
-from esequiv.semantics import MODE_INTERLEAVING, MODE_STEP, MODES, build_lts
+from esequiv.semantics import MODE_INTERLEAVING, MODE_POMSET, MODE_STEP, MODES, build_lts
 from esequiv.spectrum import builtin_fixtures
 from esequiv.structure import build
 
@@ -224,3 +226,44 @@ class TestDispatch:
         assert ok and wit is not None
         ok, wit = check(R.HHB, from_expr("a"), from_expr("a+a"), witness=True)
         assert ok and wit.kind == "hereditary-history-bisimulation"
+
+    def test_matrix_decides_each_relation_once_and_shares_the_triples(
+        self, monkeypatch, ex22, pair_st_not_ib
+    ):
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                mode = getattr(args[0], "mode", None)  # the LTS deciders
+                calls[name if mode is None else (name, mode)] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in (
+            "trace_equiv", "bisim", "pomset_trace_equiv", "whb_equiv",
+            "hb_equiv", "hhb_equiv", "_iso", "_enumerate_isos",
+        ):
+            monkeypatch.setattr(eq, name, counting(name, getattr(eq, name)))
+        once = Counter({
+            ("trace_equiv", MODE_INTERLEAVING): 1,
+            ("trace_equiv", MODE_STEP): 1,
+            ("bisim", MODE_INTERLEAVING): 1,
+            ("bisim", MODE_STEP): 1,
+            ("bisim", MODE_POMSET): 1,
+            "pomset_trace_equiv": 1,
+            "whb_equiv": 1,
+            "hb_equiv": 1,
+            "hhb_equiv": 1,
+            "_iso": 1,
+        })
+        pairs = [pair_st_not_ib, (ex22, ex22), (from_expr("a;(b||c)"), from_expr("(a;b)||c"))]
+        for left, right in pairs:
+            hb_equiv(left, right)
+            builds = calls.pop("_enumerate_isos")
+            calls.clear()
+            full_matrix(left, right, witness=True)
+            # the triples hb and hhb read are built once per matrix
+            assert calls.pop("_enumerate_isos") == builds
+            assert calls == once
+            calls.clear()

@@ -2,6 +2,7 @@ import random
 
 from esequiv.equivalences import Relation, full_matrix
 from esequiv.errors import UnsatisfiableSpec
+from esequiv.formats import dumps_es
 from esequiv.semantics import build_lts, has_autoconcurrency
 from esequiv.spectrum import (
     FIG_CS,
@@ -20,6 +21,40 @@ from esequiv.spectrum import (
 from esequiv.structure import StructureClass, classify
 
 R = Relation
+
+FAMILIES = {"triangle": triangle, "grid": lambda k: grid(k, 2), "arow": arow, "abrow": abrow}
+
+#: `.es` text of each family at k = 0..3
+FAMILY_TEXTS = {
+    "triangle": (
+        "es v1\n",
+        "es v1\nevent 0 a\n",
+        "es v1\nevent 0 a\nevent 1 a\nevent 2 a\ncause 1 2\n",
+        "es v1\nevent 0 a\nevent 1 a\nevent 2 a\nevent 3 a\nevent 4 a\nevent 5 a\n"
+        "cause 1 2\ncause 3 4\ncause 4 5\n",
+    ),
+    "grid": (
+        "es v1\n",
+        "es v1\nevent 0 a\nevent 1 a\ncause 0 1\n",
+        "es v1\nevent 0 a\nevent 1 a\nevent 2 a\nevent 3 a\ncause 0 1\ncause 2 3\n",
+        "es v1\nevent 0 a\nevent 1 a\nevent 2 a\nevent 3 a\nevent 4 a\nevent 5 a\n"
+        "cause 0 1\ncause 2 3\ncause 4 5\n",
+    ),
+    "arow": (
+        "es v1\nevent 0 a\n",
+        "es v1\nevent 0 a\nevent 1 a\nevent 2 b\ncause 1 2\n",
+        "es v1\nevent 0 a\nevent 1 a\nevent 2 b\nevent 3 a\nevent 4 b\ncause 1 2\ncause 3 4\n",
+        "es v1\nevent 0 a\nevent 1 a\nevent 2 b\nevent 3 a\nevent 4 b\nevent 5 a\nevent 6 b\n"
+        "cause 1 2\ncause 3 4\ncause 5 6\n",
+    ),
+    "abrow": (
+        "es v1\n",
+        "es v1\nevent 0 a\nevent 1 b\ncause 0 1\n",
+        "es v1\nevent 0 a\nevent 1 b\nevent 2 a\nevent 3 b\ncause 0 1\ncause 2 3\n",
+        "es v1\nevent 0 a\nevent 1 b\nevent 2 a\nevent 3 b\nevent 4 a\nevent 5 b\n"
+        "cause 0 1\ncause 2 3\ncause 4 5\n",
+    ),
+}
 
 
 class TestFixtures:
@@ -92,6 +127,10 @@ class TestCorpus:
         t = triangle(3)
         depths = [bin(m).count("1") for m in t.down]
         assert max(depths) == 2
+        # events are numbered column by column, each column bottom-up
+        for name, texts in FAMILY_TEXTS.items():
+            for k, text in enumerate(texts):
+                assert dumps_es(FAMILIES[name](k)) == text, (name, k)
 
 
 class TestVerify:
