@@ -7,7 +7,9 @@ preserves label ranks and both relations.
 
 Algorithm: equitable colour refinement from the label partition, then
 backtracking over individualizations of the first non-singleton cell,
-taking the lexicographically least leaf encoding.  Leaves that tie with
+taking the lexicographically least leaf encoding.  A cell of twins
+(interchangeable vertices) is individualized in one step, in vertex order,
+since all its branches are images of the first.  Leaves that tie with
 the current best yield automorphisms, which prune sibling branches
 (orbit pruning); pruning never changes the minimum.  This is
 individualization-refinement as in McKay & Piperno, "Practical graph
@@ -61,6 +63,24 @@ def _individualize(colors, v):
         col + 1 if (col > c or (col == c and u != v)) else col
         for u, col in enumerate(colors)
     ]
+
+
+def _twins(members, down, up, cf):
+    """Whether the cell `members` holds twins: equal causal neighbourhoods,
+    equal conflicts outside the cell, and conflict among themselves either
+    complete or empty.  Swapping two twins is then an automorphism that
+    fixes every other vertex."""
+    cell = 0
+    for v in members:
+        cell |= 1 << v
+    first = members[0]
+    outside = cf[first] & ~cell
+    clique = bool(cf[first] & cell)
+    for v in members:
+        inside = cell & ~(1 << v) if clique else 0
+        if down[v] != down[first] or up[v] != up[first] or cf[v] != outside | inside:
+            return False
+    return True
 
 
 def _encode(n, perm, lranks, down, cf):
@@ -166,6 +186,14 @@ def canon_encode(n, lranks, down, cf):
                 target = c
                 break
         members = [v for v in range(n) if colors[v] == target]
+        if _twins(members, down, up, cf):
+            # every branch here is the image of the first under a swap of
+            # twins, and individualizing a twin splits no other cell, so
+            # take the first branch at each level in one step
+            for v in members[:-1]:
+                colors = _individualize(colors, v)
+            rec(_refine(n, colors, down, up, cf), path + members[:-1])
+            return
         explored = []
         gens_seen = -1
         find = None

@@ -110,7 +110,6 @@ def _build_parser():
                    help="additionally require equal source-deleted subgraph multisets")
     p.add_argument("--no-filters", action="store_true",
                    help="disable invariant bucketing (for cross-checks)")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default="search_out", help="directory for .es pairs and certificate")
     return parser
 
@@ -212,7 +211,6 @@ def _cmd_search(args):
         alphabet=args.labels,
         use_filters=not args.no_filters,
         sdm_filter=args.sdm_filter,
-        jobs=args.jobs,
     )
     result = find_minimal_pairs(spec)
     os.makedirs(args.out, exist_ok=True)

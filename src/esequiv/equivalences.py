@@ -1,11 +1,11 @@
 """The ten behavioural relations and the verdict matrix.
 
 Trace equivalences are decided on determinized transition systems without
-materializing languages; bisimulations by one rank-based pass that gives
-every state a class id bottom-up, since the systems are acyclic; the
-history-preserving family by greatest fixpoints over configuration pairs
-(weak variant) or triples carrying an explicit poset isomorphism (plain
-and hereditary variants).
+materializing languages; bisimulations, and weak history preserving
+bisimilarity, by one rank-based pass that gives every state a class id
+bottom-up, since the systems are acyclic; the plain and hereditary history
+preserving relations by greatest fixpoints over triples carrying an
+explicit poset isomorphism.
 """
 
 from __future__ import annotations
@@ -179,29 +179,41 @@ def trace_equiv(la: Lts, lb: Lts, *, witness=False):
 # ---------------------------------------------------------------------------
 
 
-def _rank_pass(succ, order, table):
+def _rank_pass(succ, order, table, tags=None):
     """Bisimulation class id of every state of an acyclic system, in one
     bottom-up pass (the well-founded case of Dovier, Piazza & Policriti, TCS
     2004).  `succ[v]` lists the (label id, successor) pairs of state v, and
     `order` takes successors first.  A state's id interns in `table` the
     sorted tuple of its pairs packed as successor id << 32 | label id (label
     ids count table entries, so stay below 2**32); states of all systems
-    sharing a table get equal ids iff bisimilar."""
+    sharing a table get equal ids iff bisimilar.  With `tags`, a state's
+    signature also holds `tags[v]`, so equal ids mean bisimilar through
+    states of equal tags."""
     cls = [None] * len(succ)
     for v in order:
         sig = tuple(sorted({cls[w] << 32 | lab for lab, w in succ[v]}))
+        if tags is not None:
+            sig = (tags[v], sig)
         cls[v] = table.setdefault(sig, len(table))
     return cls
 
 
-def _classes(lts: Lts, table):
+def _classes(lts: Lts, table, tags=None):
     """Class id of every state of `lts` in state order, labels interned in
     `table` too.  States are sorted by size, so reversed order is bottom-up."""
     index = {m: i for i, m in enumerate(lts.states)}
     succ = [[] for _ in lts.states]
     for src, label, dst in lts.transitions:
         succ[index[src]].append((table.setdefault(label, len(table)), index[dst]))
-    return _rank_pass(succ, range(len(succ) - 1, -1, -1), table)
+    return _rank_pass(succ, range(len(succ) - 1, -1, -1), table, tags)
+
+
+def _class_pairs(xs, ca, ys, cb):
+    """Sorted (x, y) pairs of left and right states with equal class ids."""
+    by_class = defaultdict(list)
+    for y, d in zip(ys, cb):
+        by_class[d].append(y)
+    return tuple(sorted((x, y) for x, c in zip(xs, ca) for y in by_class.get(c, ())))
 
 
 def bisim(la: Lts, lb: Lts, *, witness=False):
@@ -214,10 +226,8 @@ def bisim(la: Lts, lb: Lts, *, witness=False):
     if not witness:
         return ok
     if ok:
-        pairs = sorted(
-            (x, y) for x, c in zip(la.states, ca) for y, d in zip(lb.states, cb) if c == d
-        )
-        return True, RelationWitness(kind=f"{la.mode}-bisimulation", members=tuple(pairs))
+        members = _class_pairs(la.states, ca, lb.states, cb)
+        return True, RelationWitness(kind=f"{la.mode}-bisimulation", members=members)
     return False, _bisim_line(la, lb, dict(zip(la.states, ca)), dict(zip(lb.states, cb)))
 
 
@@ -290,56 +300,24 @@ def pomset_trace_equiv(sa: EventStructure, sb: EventStructure, *, witness=False)
 def whb_equiv(sa: EventStructure, sb: EventStructure, *, witness=False):
     """Weak history preserving bisimilarity.
 
-    Greatest fixpoint over configuration pairs with isomorphic posets,
-    challenged by single-event extensions on either side.
+    Bisimilarity of the interleaving systems through configuration pairs
+    with isomorphic posets: one rank pass over both systems, each state
+    tagged with the pomset code of its configuration.
     """
     ma, mb = _memos(sa, sb)
-    sa, sb = ma.s, mb.s
-    alive = set()
-    for x in ma.configurations:
-        for y in mb.by_code.get(ma.code(x), ()):
-            alive.add((x, y))
-    root = (0, 0)
-    if root not in alive:  # pragma: no cover - empty posets always match
-        return (False, None) if witness else False
-    en_a, en_b = ma.enabled, mb.enabled
-
-    def ok(pair):
-        x, y = pair
-        for e in en_a[x]:
-            x2 = x | (1 << e)
-            if not any(
-                sb.labels[f] == sa.labels[e] and (x2, y | (1 << f)) in alive
-                for f in en_b[y]
-            ):
-                return False
-        for f in en_b[y]:
-            y2 = y | (1 << f)
-            if not any(
-                sa.labels[e] == sb.labels[f] and (x | (1 << e), y2) in alive
-                for e in en_a[x]
-            ):
-                return False
-        return True
-
-    alive = _prune(alive, ok, root)
-    verdict = root in alive
+    table = {}
+    la, lb = ma.lts(MODE_INTERLEAVING), mb.lts(MODE_INTERLEAVING)
+    ca, cb = (
+        _classes(lts, table, [table.setdefault(m.code(x), len(table)) for x in lts.states])
+        for m, lts in ((ma, la), (mb, lb))
+    )
+    verdict = ca[0] == cb[0]
     if not witness:
         return verdict
     if verdict:
-        return True, RelationWitness(kind="weak-history-bisimulation", members=tuple(sorted(alive)))
+        members = _class_pairs(la.states, ca, lb.states, cb)
+        return True, RelationWitness(kind="weak-history-bisimulation", members=members)
     return False, None
-
-
-def _prune(alive, ok, root):
-    """Iteratively remove members violating `ok`; stop early if root dies."""
-    while True:
-        dead = [m for m in alive if not ok(m)]
-        if not dead:
-            return alive
-        alive.difference_update(dead)
-        if root not in alive:
-            return alive
 
 
 def _enumerate_isos(sa, sb, x_events, y_events, down_a, down_b):
@@ -458,7 +436,11 @@ def _hp_fixpoint(ma, mb, hereditary, *, witness=False):
                     return False
         return True
 
-    alive = _prune(alive, ok, root)
+    while root in alive:
+        dead = [m for m in alive if not ok(m)]
+        if not dead:
+            break
+        alive.difference_update(dead)
     verdict = root in alive
     if not witness:
         return verdict

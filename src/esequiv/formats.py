@@ -135,16 +135,12 @@ def _dot_string(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _label_text(mode, label) -> str:
-    if mode == MODE_INTERLEAVING:
+def lts_label_text(lts: Lts, label) -> str:
+    if lts.mode == MODE_INTERLEAVING:
         return str(label)
-    if mode == MODE_STEP:
+    if lts.mode == MODE_STEP:
         return "{" + ",".join(label) + "}"
     return label.hex()[:12]  # pomset codes; stable, compact
-
-
-def lts_label_text(lts: Lts, label) -> str:
-    return _label_text(lts.mode, label)
 
 
 def _lts_dot(lts: Lts) -> str:
@@ -153,7 +149,7 @@ def _lts_dot(lts: Lts) -> str:
     for mask in lts.states:
         out.append(f'  n{index[mask]} [label="{config_text(mask)}"];')
     for src, label, dst in lts.transitions:
-        text = _dot_string(_label_text(lts.mode, label))
+        text = _dot_string(lts_label_text(lts, label))
         out.append(f"  n{index[src]} -> n{index[dst]} [label={text}];")
     out.append("}")
     return "\n".join(out) + "\n"

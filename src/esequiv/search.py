@@ -18,7 +18,6 @@ member over one class table; other coarse relations are tested pairwise.
 from __future__ import annotations
 
 from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .equivalences import _MODE_OF, Relation, _classes, _indexed, _rank_pass, check, implies
@@ -160,7 +159,6 @@ class SearchSpec:
     alphabet: int = 1
     use_filters: bool = True
     sdm_filter: bool = False
-    jobs: int = 1
 
 
 @dataclass
@@ -223,10 +221,9 @@ def _bucket_key(s, spec):
     return tuple(key)
 
 
-def _process_bucket(args):
+def _process_bucket(members, coarse, fine):
     """Group one bucket by the coarse relation, in member order; return the
     groups, the number of pairs tested and the local qualifying pairs."""
-    members, coarse, fine = args
     sems = [Semantics(s) for s in members]
     pairs_tested = 0
     if coarse in _CLASS_KEYED:
@@ -278,25 +275,17 @@ def find_minimal_pairs(spec: SearchSpec) -> SearchResult:
             buckets[_bucket_key(s, spec)].append(idx)
         st.buckets = len(buckets)
         st.largest_bucket = max(len(v) for v in buckets.values())
-        big = [
-            members
-            for _, members in sorted(buckets.items(), key=lambda kv: repr(kv[0]))
-            if len(members) >= 2
-        ]
-        tasks = [
-            ([reps[i] for i in members], spec.coarse, spec.fine) for members in big
-        ]
-        if spec.jobs > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-                outcomes = list(pool.map(_process_bucket, tasks, chunksize=1))
-        else:
-            outcomes = [_process_bucket(t) for t in tasks]
         found = []
-        for members, (groups, tested, pairs) in zip(big, outcomes):
+        for _, members in sorted(buckets.items(), key=lambda kv: repr(kv[0])):
+            if len(members) == 1:
+                st.groups += 1
+                continue
+            groups, tested, pairs = _process_bucket(
+                [reps[i] for i in members], spec.coarse, spec.fine
+            )
             st.groups += len(groups)
             st.pairs_tested += tested
             found.extend((members[i], members[j]) for i, j in pairs)
-        st.groups += sum(1 for members in buckets.values() if len(members) == 1)
         if found:
             result_pairs = []
             for i, j in found:

@@ -255,12 +255,6 @@ class Diagram:
     arrows: tuple  # (finer relation, coarser relation) proper inclusions
     note: str = ""
 
-    def classes_of(self, rel):
-        for group in self.groups:
-            if rel in group:
-                return group
-        raise ValueError(rel)
-
 
 FIG_PES = Diagram(
     name="pes",

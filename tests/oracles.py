@@ -202,14 +202,15 @@ def _poset_isos(s, t, X, Y):
     return out
 
 
-def o_whb(s, t):
+def o_whb_relation(s, t):
+    """The greatest weak history preserving bisimulation: the configuration
+    pairs with isomorphic posets that survive the transfer conditions."""
     pa, pb = o_configs(s), o_configs(t)
-    alive = {
-        (X, Y)
-        for X in pa
-        for Y in pb
-        if o_poset_code(s, X) == o_poset_code(t, Y)
-    }
+    code_b = {Y: o_poset_code(t, Y) for Y in pb}
+    alive = set()
+    for X in pa:
+        code = o_poset_code(s, X)
+        alive.update((X, Y) for Y in pb if code_b[Y] == code)
     changed = True
     while changed:
         changed = False
@@ -224,7 +225,11 @@ def o_whb(s, t):
             if not ok:
                 alive.discard((X, Y))
                 changed = True
-    return (frozenset(), frozenset()) in alive
+    return alive
+
+
+def o_whb(s, t):
+    return (frozenset(), frozenset()) in o_whb_relation(s, t)
 
 
 def _o_hp(s, t, hereditary):

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from esequiv import canon
+from esequiv.algebra import from_expr
 from esequiv.errors import SizeLimit
 from esequiv.search import enumerate_posets
 from esequiv.structure import build, canonical_form, isomorphic
@@ -37,8 +39,14 @@ def _is_isomorphism(s, t, mapping):
 def test_symmetric_inputs_shuffled():
     # large automorphism groups exercise the orbit pruning: antichains of
     # 1..8 events, three disjoint identical chains, and conflict forming two
-    # triangles and a hexagon, whose first cell after refinement holds two orbits
+    # triangles and a hexagon, whose first cell after refinement holds two
+    # orbits; and the twin cells: wide antichains, conflict cliques, and
+    # cliques of twins beside other events
     cases = [build(n, ["a"] * n) for n in range(1, 9)]
+    cases += [build(n, ["a"] * n) for n in (20, 40)]
+    cases += [from_expr("+".join(["a"] * n)) for n in (2, 5, 20)]
+    cases.append(from_expr("(a;b) || (" + "+".join(["a"] * 6) + ")"))
+    cases.append(from_expr("b;(" + "||".join(["a"] * 9) + ")"))
     cases.append(build(6, ["a"] * 6, [(0, 3), (1, 4), (2, 5)]))
     cycles = ((0, 1, 2), (3, 4, 5), (6, 7, 8, 9, 10, 11))
     conflicts = [(c[i - 1], c[i]) for c in cycles for i in range(len(c))]
@@ -65,3 +73,20 @@ def test_four_event_single_label_classes():
 def test_event_bound_is_a_size_limit():
     with pytest.raises(SizeLimit, match="at most 255 events"):
         canonical_form(build(256, ["a"] * 256))
+
+
+def test_antichain_twins_individualized_at_once(monkeypatch):
+    # the 30 events are twins: one refinement of the label partition, and
+    # one after all of them but the last are individualized at once
+    calls = []
+    refine = canon._refine
+
+    def counting(*args):
+        calls.append(args)
+        if len(calls) > 2:
+            raise AssertionError("more than 2 refinements of a 30-event antichain")
+        return refine(*args)
+
+    monkeypatch.setattr(canon, "_refine", counting)
+    canonical_form(build(30, ["a"] * 30))
+    assert len(calls) == 2

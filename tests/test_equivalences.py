@@ -26,7 +26,7 @@ from esequiv.spectrum import builtin_fixtures
 from esequiv.structure import build
 
 from conftest import random_structure
-from oracles import game_witness_problems, o_distinguishing_depth
+from oracles import game_witness_problems, o_distinguishing_depth, o_whb_relation
 
 R = Relation
 
@@ -144,6 +144,34 @@ class TestHistoryPreserving:
 
     def test_whb_chain_vs_antichain(self):
         assert not whb_equiv(from_expr("a;a"), from_expr("a||a"))
+
+    def test_whb_members_are_the_naive_fixpoint(self):
+        # a positive whb lists exactly the naive greatest fixpoint, with
+        # configurations as masks; a negative one leaves the roots out of it
+        rng = random.Random(67)
+        pairs = [(fx.left, fx.right) for fx in builtin_fixtures()]
+        for i in range(90):
+            cls = ("pes", "cs", "ees")[i % 3]
+            alphabet = rng.choice([1, 2])
+            a, b = (
+                random_structure(rng, max_events=5, alphabet=alphabet, classes=(cls,))
+                for _ in range(2)
+            )
+            pairs += [(a, b), (a, a)]
+        related = 0
+        for left, right in pairs:
+            want = tuple(sorted(
+                (sum(1 << e for e in X), sum(1 << e for e in Y))
+                for X, Y in o_whb_relation(left, right)
+            ))
+            ok, wit = whb_equiv(left, right, witness=True)
+            assert ok == ((0, 0) in want)
+            if ok:
+                related += left is not right
+                assert wit.members == want, (left, right)
+            else:
+                assert wit is None
+        assert related >= 3  # some related pairs are not a structure with itself
 
     def test_hb_holds_on_backtrack_pair(self):
         left = from_expr("a || (a + (a||a))")

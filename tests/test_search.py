@@ -245,17 +245,5 @@ class TestSearch:
                             break
                     else:
                         pairwise.append([idx])
-                groups, tested, _ = _process_bucket((members, coarse, R.ISO))
+                groups, tested, _ = _process_bucket(members, coarse, R.ISO)
                 assert (groups, tested) == (pairwise, 0)
-
-    def test_parallel_matches_serial(self):
-        serial = find_minimal_pairs(
-            SearchSpec(coarse=R.IB, fine=R.SB, max_events=5, alphabet=2, jobs=1)
-        )
-        parallel = find_minimal_pairs(
-            SearchSpec(coarse=R.IB, fine=R.SB, max_events=5, alphabet=2, jobs=2)
-        )
-        assert serial.size == parallel.size
-        assert [
-            (canonical_form(a), canonical_form(b)) for a, b in serial.pairs
-        ] == [(canonical_form(a), canonical_form(b)) for a, b in parallel.pairs]
