@@ -122,10 +122,11 @@ class PomsetWitness:
 
 
 def _indexed(lts: Lts):
-    index = {m: i for i, m in enumerate(lts.states)}
+    """label -> per state, the bitmask of the state indices one move away."""
     by_label = defaultdict(lambda: [0] * len(lts.states))
-    for src, label, dst in lts.transitions:
-        by_label[label][index[src]] |= 1 << index[dst]
+    for i, moves in enumerate(lts.successors):
+        for label, j in moves:
+            by_label[label][i] |= 1 << j
     return dict(by_label)
 
 
@@ -201,10 +202,10 @@ def _rank_pass(succ, order, table, tags=None):
 def _classes(lts: Lts, table, tags=None):
     """Class id of every state of `lts` in state order, labels interned in
     `table` too.  States are sorted by size, so reversed order is bottom-up."""
-    index = {m: i for i, m in enumerate(lts.states)}
-    succ = [[] for _ in lts.states]
-    for src, label, dst in lts.transitions:
-        succ[index[src]].append((table.setdefault(label, len(table)), index[dst]))
+    succ = [
+        [(table.setdefault(label, len(table)), j) for label, j in moves]
+        for moves in lts.successors
+    ]
     return _rank_pass(succ, range(len(succ) - 1, -1, -1), table, tags)
 
 
@@ -222,21 +223,22 @@ def bisim(la: Lts, lb: Lts, *, witness=False):
         raise ModeMismatch(f"cannot compare {la.mode} with {lb.mode}")
     table = {}
     ca, cb = _classes(la, table), _classes(lb, table)
-    ok = ca[0] == cb[0]  # states are sorted, the empty configuration first
+    ok = ca[0] == cb[0]  # the roots
     if not witness:
         return ok
     if ok:
         members = _class_pairs(la.states, ca, lb.states, cb)
         return True, RelationWitness(kind=f"{la.mode}-bisimulation", members=members)
-    return False, _bisim_line(la, lb, dict(zip(la.states, ca)), dict(zip(lb.states, cb)))
+    return False, _bisim_line(la, lb, ca, cb)
 
 
 def _bisim_line(la: Lts, lb: Lts, cls_a, cls_b):
     """Attacker line from the roots down a class mismatch to a stuck side.
 
-    Each move attains the distinguishing depth of its pair (the fewest moves
-    the attacker needs to win, computed only where the line goes) and takes
-    the least deep answer, so the line is no longer than the roots' depth.
+    Each move attains the distinguishing depth of its pair of state indices
+    (the fewest moves the attacker needs to win, computed only where the
+    line goes) and takes the least deep answer, so the line is no longer
+    than the roots' depth.  The lost position is given as masks.
     """
     sa, sb = la.successors, lb.successors
     memo = {}
@@ -257,14 +259,15 @@ def _bisim_line(la: Lts, lb: Lts, cls_a, cls_b):
             memo[pair] = min(value(answers) for _, _, answers in options(*pair))
         return memo[pair]
 
-    pair, moves = (la.states[0], lb.states[0]), []
+    pair, moves = (0, 0), []
     while True:
         goal = depth(pair)
         side, label, answers = next(o for o in options(*pair) if value(o[2]) == goal)
         moves.append((side, label))
         if not answers:
             stuck = "right" if side == "left" else "left"
-            return GameWitness(tuple(moves), stuck_side=stuck, stuck_label=label, position=pair)
+            position = (la.states[pair[0]], lb.states[pair[1]])
+            return GameWitness(tuple(moves), stuck_side=stuck, stuck_label=label, position=position)
         pair = min(answers, key=depth)
 
 

@@ -144,12 +144,11 @@ def lts_label_text(lts: Lts, label) -> str:
 
 
 def _lts_dot(lts: Lts) -> str:
-    index = {mask: i for i, mask in enumerate(lts.states)}
     out = ["digraph lts {", "  rankdir=BT;"]
-    for mask in lts.states:
-        out.append(f'  n{index[mask]} [label="{config_text(mask)}"];')
-    for src, label, dst in lts.transitions:
-        text = _dot_string(lts_label_text(lts, label))
-        out.append(f"  n{index[src]} -> n{index[dst]} [label={text}];")
+    for i, mask in enumerate(lts.states):
+        out.append(f'  n{i} [label="{config_text(mask)}"];')
+    for i, moves in enumerate(lts.successors):
+        for label, j in moves:
+            out.append(f"  n{i} -> n{j} [label={_dot_string(lts_label_text(lts, label))}];")
     out.append("}")
     return "\n".join(out) + "\n"

@@ -10,9 +10,10 @@ maximal-event-deleted substructure, so the sweep is complete.
 
 Buckets of cheap language invariants cut the quadratic pair testing; a
 bucket key is only ever an invariant implied by the chosen coarse relation,
-so bucketing never loses a qualifying pair.  Within a bucket, ib, sb and
-pb group members by the class of their root from one rank-based pass per
-member over one class table; other coarse relations are tested pairwise.
+so bucketing never loses a qualifying pair.  Trace fingerprints are root
+class ids of the determinized systems under one rank-pass table per search.
+Within a bucket, ib, sb and pb group members by root class under one table
+per bucket; other coarse relations are tested pairwise.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .equivalences import _MODE_OF, Relation, _classes, _indexed, _rank_pass, check, implies
+from .equivalences import (
+    _MODE_OF, Relation, _classes, _indexed, _rank_pass, _subset_step, check, implies
+)
 from .errors import NoPairFound, NotAnEes, SizeLimit
 from .semantics import MODE_INTERLEAVING, MODE_STEP, Semantics, configurations
 from .structure import EventStructure, canonical_form, restrict
@@ -84,65 +87,44 @@ def source_deleted_multiset(s: EventStructure):
 # ---------------------------------------------------------------------------
 
 
-def _language_fingerprint(lts):
-    """Canonical encoding of the minimal acceptor of the trace language.
+def _language_fingerprint(lts, table):
+    """Class id of the trace language of `lts` under the rank-pass `table`.
 
-    Equal fingerprints iff equal languages: subset construction, then the
-    language classes of the subsets in one bottom-up pass (on a
-    deterministic system they are its bisimulation classes), then
-    breadth-first numbering of the quotient.
+    Subset construction, then the language classes of the subsets in one
+    bottom-up pass: on a deterministic system they are its bisimulation
+    classes, so systems fingerprinted with one table get equal root ids iff
+    their languages are equal.
     """
     rows = _indexed(lts)
-    alphabet = sorted(rows)
-    subsets = {1: 0}
-    trans = []  # per subset id: list of (label index, dst subset id)
-    queue = [1]
-    while queue:
-        nxt = []
-        for sub in queue:
-            out = []
-            for ai, label in enumerate(alphabet):
-                target = 0
-                row = rows[label]
-                m = sub
-                while m:
-                    low = m & -m
-                    target |= row[low.bit_length() - 1]
-                    m ^= low
-                if target:
-                    if target not in subsets:
-                        subsets[target] = len(subsets)
-                        nxt.append(target)
-                    out.append((ai, subsets[target]))
-            trans.append(out)
-        queue = nxt
-    # trans[i] built in id order because ids are assigned in BFS order.
+    label_ids = [(label, table.setdefault(label, len(table))) for label in rows]
+    ids = {1: 0}
+    subsets = [1]
+    trans = []  # per subset id: list of (label id, dst subset id)
+    for sub in subsets:  # grows as new subsets are met
+        out = []
+        for label, label_id in label_ids:
+            target = _subset_step(rows, label, sub)
+            if target:
+                if target not in ids:
+                    ids[target] = len(subsets)
+                    subsets.append(target)
+                out.append((label_id, ids[target]))
+        trans.append(out)
     # States are sorted by size, so a subset's lowest state is one of its
     # least size; every step grows that size, so the lowest bits decrease
     # bottom-up.
-    lowest = [sub & -sub for sub in subsets]
-    n = len(trans)
-    block = _rank_pass(trans, sorted(range(n), key=lowest.__getitem__, reverse=True), {})
-    # canonical numbering of the quotient, breadth-first in label order:
-    # subset ids are breadth-first already, so the first subset of each
-    # class, in id order, meets the classes in the quotient's own BFS order
-    number = {block[0]: 0}
-    edges = []
-    done = set()
-    for i, out in enumerate(trans):
-        if block[i] not in done:
-            done.add(block[i])
-            for ai, dst in out:
-                edges.append((number[block[i]], ai, number.setdefault(block[dst], len(number))))
-    return (tuple(alphabet), len(number), tuple(edges))
+    order = sorted(range(len(subsets)), key=lambda i: subsets[i] & -subsets[i], reverse=True)
+    return _rank_pass(trans, order, table)[0]
 
 
-def it_fingerprint(s: EventStructure):
-    return _language_fingerprint(Semantics.of(s).lts(MODE_INTERLEAVING))
+def it_fingerprint(s: EventStructure, table):
+    """Interleaving trace class of `s`: equal under one table iff it-equivalent."""
+    return _language_fingerprint(Semantics.of(s).lts(MODE_INTERLEAVING), table)
 
 
-def st_fingerprint(s: EventStructure):
-    return _language_fingerprint(Semantics.of(s).lts(MODE_STEP))
+def st_fingerprint(s: EventStructure, table):
+    """Step trace class of `s`: equal under one table iff st-equivalent."""
+    return _language_fingerprint(Semantics.of(s).lts(MODE_STEP), table)
 
 
 #: coarse relations whose members are grouped by bisimulation class
@@ -207,13 +189,14 @@ def _certificate_text(spec, stats, found_size):
     return "\n".join(lines) + "\n"
 
 
-def _bucket_key(s, spec):
+def _bucket_key(s, spec, table):
+    """Invariants of `s` implied by the coarse relation; fingerprints under `table`."""
     sem = Semantics(s)
     key = [tuple(sorted(s.labels))]
     if spec.use_filters:
-        key.append(it_fingerprint(sem))
+        key.append(it_fingerprint(sem, table))
         if implies(spec.coarse, Relation.ST):
-            key.append(st_fingerprint(sem))
+            key.append(st_fingerprint(sem, table))
         if implies(spec.coarse, Relation.PT):
             key.append(frozenset(sem.by_code))
     if spec.sdm_filter:
@@ -265,6 +248,7 @@ def find_minimal_pairs(spec: SearchSpec) -> SearchResult:
     to the bound yields a pair.
     """
     levels = _poset_levels(spec.max_events, spec.alphabet)
+    table = {}  # one rank-pass table for every fingerprint of the call
     stats = {}
     for size in range(1, spec.max_events + 1):
         reps = levels[size]
@@ -272,11 +256,11 @@ def find_minimal_pairs(spec: SearchSpec) -> SearchResult:
         stats[size] = st
         buckets = defaultdict(list)
         for idx, s in enumerate(reps):
-            buckets[_bucket_key(s, spec)].append(idx)
+            buckets[_bucket_key(s, spec, table)].append(idx)
         st.buckets = len(buckets)
         st.largest_bucket = max(len(v) for v in buckets.values())
         found = []
-        for _, members in sorted(buckets.items(), key=lambda kv: repr(kv[0])):
+        for members in buckets.values():  # the pairs found are sorted below
             if len(members) == 1:
                 st.groups += 1
                 continue

@@ -9,6 +9,10 @@ configurations:
   sorted multiset of their actions;
 - pomset: add any non-empty event set H reaching another configuration,
   label = the canonical code of the induced labelled poset on H.
+
+A transition system (`Lts`) is one integer-indexed table read by every
+decider: the configurations in (size, mask) order, the empty one at index 0,
+and per state its sorted (label, target index) moves.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ MODE_POMSET = "pomset"
 MODES = (MODE_INTERLEAVING, MODE_STEP, MODE_POMSET)
 
 MAX_LTS_EVENTS = 30
+MAX_CONFIGURATIONS = 1 << 16
 
 
 def is_configuration(s: EventStructure, mask: int) -> bool:
@@ -57,7 +62,8 @@ def configurations(s: EventStructure):
 
     Layered expansion from the empty set; complete because every
     configuration is reachable by adding its events in any order compatible
-    with causality.
+    with causality.  Raises `SizeLimit` as soon as more than
+    `MAX_CONFIGURATIONS` are found.
     """
     seen = {0}
     frontier = [0]
@@ -69,6 +75,11 @@ def configurations(s: EventStructure):
                 if m2 not in seen:
                     seen.add(m2)
                     nxt.append(m2)
+                    if len(seen) > MAX_CONFIGURATIONS:
+                        raise SizeLimit(
+                            f"structure has at least {len(seen)} configurations; "
+                            f"limit is {MAX_CONFIGURATIONS}"
+                        )
         frontier = nxt
     return tuple(sorted(seen, key=lambda m: (m.bit_count(), m)))
 
@@ -109,40 +120,39 @@ def config_text(mask: int) -> str:
 class Lts:
     """Explicit transition system over configurations, rooted at the empty one.
 
-    The initial state comes first, states are in nondecreasing size, and
-    every transition joins two states, the target strictly containing the
-    source; anything else raises `ValidationError`.
+    `states` holds the configuration masks in nondecreasing size, the empty
+    configuration first at index 0; `successors[i]` is the sorted tuple of
+    the (label, target index) moves of state i, each to a state strictly
+    containing it.  Anything else raises `ValidationError`.
     """
 
     mode: str
     states: tuple[int, ...]
-    transitions: tuple[tuple[int, object, int], ...]
-    initial: int = 0
+    successors: tuple[tuple[tuple[object, int], ...], ...]
 
     def __post_init__(self):
-        # the deciders take states[0] as the root and read the states in
+        # the deciders take index 0 as the root and read the states in
         # reverse as bottom-up
         states = self.states
-        if not states or states[0] != self.initial:
-            raise ValidationError(f"the first state must be the initial state {self.initial}")
+        if not states or states[0] != 0:
+            raise ValidationError("the first state must be the empty configuration")
         sizes = [m.bit_count() for m in states]
         if sizes != sorted(sizes):
             raise ValidationError("states must be in nondecreasing configuration size")
-        members = set(states)
-        for src, label, dst in self.transitions:
-            if src | dst != dst or src == dst or src not in members or dst not in members:
-                raise ValidationError(
-                    f"transition {config_text(src)} --{label!r}--> {config_text(dst)} "
-                    "does not join a state to a strictly larger one"
-                )
+        n = len(states)
+        if len(self.successors) != n:
+            raise ValidationError(f"{len(self.successors)} successor tuples for {n} states")
+        for i, (src, moves) in enumerate(zip(states, self.successors)):
+            for label, j in moves:
+                # a strictly larger state comes later in size order
+                if not i < j < n or src & ~states[j] or src == states[j]:
+                    raise ValidationError(f"move {i} --{label!r}--> {j} is not to a larger state")
 
-    @cached_property
-    def successors(self):
-        """state -> sorted tuple of (label, dst)."""
-        succ = {m: [] for m in self.states}
-        for src, label, dst in self.transitions:
-            succ[src].append((label, dst))
-        return {m: tuple(sorted(v)) for m, v in succ.items()}
+    @property
+    def transitions(self):
+        """(source mask, label, target mask) triples, by source state then move."""
+        s = self.states
+        return tuple((s[i], lab, s[j]) for i, moves in enumerate(self.successors) for lab, j in moves)
 
 
 class Semantics:
@@ -210,25 +220,23 @@ def build_lts(s: EventStructure | Semantics, mode: str) -> Lts:
     if s.n > MAX_LTS_EVENTS:
         raise SizeLimit(f"structure has {s.n} events; limit is {MAX_LTS_EVENTS}")
     states = sem.configurations
-    transitions = []
-    if mode == MODE_INTERLEAVING:
-        for mask in states:
-            for e in sem.enabled[mask]:
-                transitions.append((mask, s.labels[e], mask | (1 << e)))
-    elif mode == MODE_STEP:
-        for mask in states:
+    index = {m: i for i, m in enumerate(states)}
+    successors = []
+    for i, mask in enumerate(states):
+        if mode == MODE_INTERLEAVING:
+            moves = [(s.labels[e], index[mask | 1 << e]) for e in sem.enabled[mask]]
+        elif mode == MODE_STEP:
             # non-empty subsets of pairwise concurrent enabled events;
             # enabled events are never ordered, so only conflicts matter
-            for group in _independent_subsets(s, sem.enabled[mask]):
-                label = tuple(sorted(s.labels[e] for e in _bits(group)))
-                transitions.append((mask, label, mask | group))
-    else:
-        for mask in states:
-            for bigger in states:
-                if bigger != mask and (bigger & mask) == mask:
-                    transitions.append((mask, sem.code(bigger & ~mask), bigger))
-    transitions.sort(key=lambda t: (t[0].bit_count(), t[0], t[1], t[2]))
-    return Lts(mode=mode, states=states, transitions=tuple(transitions))
+            moves = [
+                (tuple(sorted(s.labels[e] for e in _bits(group))), index[mask | group])
+                for group in _independent_subsets(s, sem.enabled[mask])
+            ]
+        else:  # every strictly larger configuration; they come later in size order
+            later = range(i + 1, len(states))
+            moves = [(sem.code(states[j] & ~mask), j) for j in later if states[j] & mask == mask]
+        successors.append(tuple(sorted(moves)))
+    return Lts(mode, states, tuple(successors))
 
 
 def _independent_subsets(s, events):
@@ -271,7 +279,7 @@ def trace_language(lts: Lts, limit: int = 1_000_000):
         memo[state] = got
         return got
 
-    return rec(lts.initial)
+    return rec(0)
 
 
 def has_autoconcurrency(s: EventStructure) -> bool:

@@ -338,7 +338,7 @@ def o_distinguishing_depth(la, lb):
     roots are not k-step bisimilar, found round by round over all pairs."""
     succ_a, succ_b = _lts_succ(la), _lts_succ(lb)
     alive = {(x, y) for x in la.states for y in lb.states}
-    root = (la.initial, lb.initial)
+    root = (la.states[0], lb.states[0])
     k = 0
     while root in alive:
         nxt = {
@@ -373,7 +373,7 @@ def game_witness_problems(la, lb, wit):
     if not wit.moves:
         return ["no moves"]
     *answered, (last_side, last_label) = wit.moves
-    reach = {(la.initial, lb.initial)}
+    reach = {(la.states[0], lb.states[0])}
     for i, (side, label) in enumerate(answered):
         reach = {
             (x2, y2)

@@ -1,5 +1,7 @@
 import os
 
+import pytest
+
 from esequiv.cli import run
 
 
@@ -57,6 +59,10 @@ class TestStructureCommands:
         out = out_of(capsys)
         assert "events: 4" in out and "configurations: 6" in out
 
+    def test_validate_bounds_configurations(self, capsys):
+        assert run(["validate", "--expr", "||".join(["a"] * 25)]) == 2
+        assert "configurations; limit is 65536" in capsys.readouterr().err
+
     def test_show_roundtrips(self, tmp_path, capsys):
         assert run(["show", "--expr", "a;b"]) == 0
         text = out_of(capsys)
@@ -75,6 +81,41 @@ class TestStructureCommands:
     def test_lts_modes(self, capsys):
         for mode in ("i", "s", "p"):
             assert run(["lts", "--expr", "a||b", "--mode", mode]) == 0
+
+    @pytest.mark.parametrize("mode", ["i", "s", "p"])
+    @pytest.mark.parametrize("dot", [False, True])
+    def test_lts_output_is_pinned(self, capsys, mode, dot):
+        # states in (size, mask) order, each state's moves in (label, target) order
+        argv = ["lts", "--expr", "(a||b)+(a;b)", "--mode", mode] + (["--dot"] if dot else [])
+        assert run(argv) == 0
+        got = out_of(capsys)
+        if dot:
+            edges = "\n".join(f"  n{a} -> n{b} [label=\"{lab}\"];" for a, lab, b in LTS_MOVES[mode])
+            assert got == LTS_DOT_HEAD + edges + "\n}\n"
+        else:
+            lines = [f"{CONFIGS[a]} --{lab}--> {CONFIGS[b]}" for a, lab, b in LTS_MOVES[mode]]
+            head = f"mode: {LTS_MODE_NAMES[mode]}\nstates: 6\ntransitions: {len(lines)}\n"
+            assert got == head + "\n".join(lines) + "\n"
+
+
+CONFIGS = ("{}", "{e0}", "{e1}", "{e2}", "{e0,e1}", "{e2,e3}")
+LTS_MODE_NAMES = {"i": "interleaving", "s": "step", "p": "pomset"}
+LTS_DOT_HEAD = "digraph lts {\n  rankdir=BT;\n" + "".join(
+    f'  n{i} [label="{text}"];\n' for i, text in enumerate(CONFIGS)
+)
+#: the moves of (a||b)+(a;b) as (source index, label text, target index)
+LTS_MOVES = {
+    "i": [(0, "a", 1), (0, "a", 3), (0, "b", 2), (1, "b", 4), (2, "a", 4), (3, "b", 5)],
+    "s": [
+        (0, "{a}", 1), (0, "{a}", 3), (0, "{a,b}", 4), (0, "{b}", 2),
+        (1, "{b}", 4), (2, "{a}", 4), (3, "{b}", 5),
+    ],
+    "p": [
+        (0, "0100007c61", 1), (0, "0100007c61", 3), (0, "0100007c62", 2),
+        (0, "02000100007c", 4), (0, "02000140007c", 5),
+        (1, "0100007c62", 4), (2, "0100007c61", 4), (3, "0100007c62", 5),
+    ],
+}
 
 
 class TestFixturesCommand:

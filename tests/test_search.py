@@ -116,6 +116,9 @@ class TestSourceDeleted:
 
 
 class TestFingerprints:
+    # one class table for every pair and for both modes, as in a search
+    table = {}
+
     def test_it_fingerprint_exact(self):
         rng = random.Random(71)
         from conftest import random_structure
@@ -126,7 +129,7 @@ class TestFingerprints:
             same_lang = trace_equiv(
                 build_lts(a, "interleaving"), build_lts(b, "interleaving")
             )
-            assert (it_fingerprint(a) == it_fingerprint(b)) == same_lang
+            assert (it_fingerprint(a, self.table) == it_fingerprint(b, self.table)) == same_lang
 
     def test_st_fingerprint_exact(self):
         rng = random.Random(73)
@@ -136,7 +139,7 @@ class TestFingerprints:
             a = random_structure(rng, max_events=6, classes=("ees",))
             b = random_structure(rng, max_events=6, classes=("ees",))
             same_lang = trace_equiv(build_lts(a, "step"), build_lts(b, "step"))
-            assert (st_fingerprint(a) == st_fingerprint(b)) == same_lang
+            assert (st_fingerprint(a, self.table) == st_fingerprint(b, self.table)) == same_lang
 
 
 class TestSearch:
@@ -229,10 +232,11 @@ class TestSearch:
         # oracles, spares pairwise tests that cannot succeed
         language = o_traces if coarse is R.IB else o_step_traces
         mode = _MODE_OF[coarse]
+        table = {}
         for reps in _poset_levels(max_events, alphabet)[1:]:
             buckets = {}
             for s in reps:
-                buckets.setdefault(_bucket_key(s, spec), []).append(s)
+                buckets.setdefault(_bucket_key(s, spec, table), []).append(s)
             for members in buckets.values():
                 systems = [build_lts(s, mode) for s in members]
                 keys = [frozenset(language(s)) for s in members]

@@ -5,14 +5,15 @@ from collections import Counter
 
 import pytest
 
-from esequiv import structure
+from esequiv import semantics, structure
 from esequiv.algebra import from_expr
-from esequiv.equivalences import Relation, bisim, check, full_matrix
+from esequiv.equivalences import Relation, check, full_matrix
 from esequiv.errors import NotAConfiguration, SizeLimit, ValidationError
 from esequiv.semantics import (
     MODE_INTERLEAVING,
     MODE_POMSET,
     MODE_STEP,
+    MAX_CONFIGURATIONS,
     Lts,
     Semantics,
     build_lts,
@@ -57,6 +58,19 @@ class TestConfigurations:
             s = random_structure(rng, max_events=7)
             got = {frozenset(e for e in range(s.n) if (m >> e) & 1) for m in configurations(s)}
             assert got == o_configs(s)
+
+    def test_count_bound(self, monkeypatch):
+        assert len(configurations(build(16, ["a"] * 16))) == MAX_CONFIGURATIONS
+        # 2**25 configurations: the expansion stops as soon as it passes the bound
+        expanded = []
+        enabled = semantics.enabled_events
+        monkeypatch.setattr(
+            semantics, "enabled_events", lambda s, m: expanded.append(m) or enabled(s, m)
+        )
+        bound = f"at least {MAX_CONFIGURATIONS + 1} configurations; limit is {MAX_CONFIGURATIONS}"
+        with pytest.raises(SizeLimit, match=bound):
+            configurations(build(25, ["a"] * 25))
+        assert len(expanded) <= MAX_CONFIGURATIONS
 
 
 class TestPosets:
@@ -143,14 +157,23 @@ class TestLts:
             build_lts(big, MODE_INTERLEAVING)
 
     def test_rejects_systems_the_deciders_cannot_read(self):
-        # the root out of first place used to end in a TypeError inside bisim
-        with pytest.raises(ValidationError):
-            bisim(
-                Lts(MODE_INTERLEAVING, (1, 0), ((0, "a", 1),)),
-                Lts(MODE_INTERLEAVING, (0, 1), ((0, "a", 1),)),
-            )
-        with pytest.raises(ValidationError):
-            Lts(MODE_INTERLEAVING, (0, 1), ((0, "a", 1), (1, "b", 0)))
+        # the deciders index states by the table; a bad index must not reach them
+        good = ((0, 1), ((("a", 1),), ()))
+        assert Lts(MODE_INTERLEAVING, *good).transitions == ((0, "a", 1),)
+        for states, successors in (
+            ((0, 1), ((("a", 2),), ())),  # target index out of range
+            ((0, 1), ((("a", -1),), ())),
+            ((0, 1), ((("a", 1),),)),  # one successor tuple for two states
+            ((0, 1), ((("a", 1),), (), ())),
+            ((0, 1), ((("a", 1),), (("b", 0),))),  # a move to a smaller state
+            ((0, 1, 2), ((("a", 1),), (("b", 1),), ())),  # to itself
+            ((0, 1, 1), ((("a", 1),), (("b", 2),), ())),  # to an equal state
+            ((0, 1, 2), ((("a", 1),), (("b", 2),), ())),  # {e0} to {e1}
+            ((1, 3), ((("a", 1),), ())),  # the first state is not empty
+            ((), ()),
+        ):
+            with pytest.raises(ValidationError):
+                Lts(MODE_INTERLEAVING, states, successors)
 
     def test_cs_steps_and_pomsets_coincide(self):
         # without causality a pomset is just a multiset
@@ -178,7 +201,7 @@ class TestLts:
             assert is_configuration(s, s.all_mask)
             # a transition is enabled everywhere except at the full set
             lts = build_lts(s, MODE_INTERLEAVING)
-            stuck = [m for m in lts.states if not lts.successors[m]]
+            stuck = [m for m, moves in zip(lts.states, lts.successors) if not moves]
             assert stuck == [s.all_mask]
 
 
