@@ -116,6 +116,7 @@ def _build_parser():
 
 def _cmd_validate(args):
     s = _get_inputs(args)[0]
+    n_configurations = len(configurations(s))  # may raise SizeLimit: print nothing first
     tags = sorted(tag.value for tag in classify(s))
     counts = {}
     for label in s.labels:
@@ -125,7 +126,7 @@ def _cmd_validate(args):
     print("classes:", " ".join(tags))
     print(f"causality pairs (strict, closed): {len(s.causality_pairs())}")
     print(f"conflict pairs (unordered, closed): {len(s.conflict_pairs())}")
-    print(f"configurations: {len(configurations(s))}")
+    print(f"configurations: {n_configurations}")
     return 0
 
 

@@ -5,7 +5,8 @@ materializing languages; bisimulations, and weak history preserving
 bisimilarity, by one rank-based pass that gives every state a class id
 bottom-up, since the systems are acyclic; the plain and hereditary history
 preserving relations by greatest fixpoints over triples carrying an
-explicit poset isomorphism.
+explicit poset isomorphism, built only for the configuration pairs that
+whb's classes relate.
 """
 
 from __future__ import annotations
@@ -15,9 +16,12 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .errors import ModeMismatch, SpectrumViolation
+from .errors import ModeMismatch, SizeLimit, SpectrumViolation
 from .semantics import MODE_INTERLEAVING, MODE_POMSET, MODE_STEP, Lts, Semantics
 from .structure import EventStructure, _bits, isomorphic
+
+#: the most history-preserving triples one pair may have
+MAX_TRIPLES = 1 << 18
 
 
 class Relation(enum.Enum):
@@ -300,6 +304,17 @@ def pomset_trace_equiv(sa: EventStructure, sb: EventStructure, *, witness=False)
 # ---------------------------------------------------------------------------
 
 
+def _whb_classes(ma: Semantics, mb: Semantics):
+    """Class ids of both sides' interleaving states under one table, each
+    state tagged with the pomset code of its configuration: equal ids iff
+    whb relates the two configurations."""
+    table = {}
+    return tuple(
+        _classes(lts, table, [table.setdefault(m.code(x), len(table)) for x in lts.states])
+        for m, lts in ((ma, ma.lts(MODE_INTERLEAVING)), (mb, mb.lts(MODE_INTERLEAVING)))
+    )
+
+
 def whb_equiv(sa: EventStructure, sb: EventStructure, *, witness=False):
     """Weak history preserving bisimilarity.
 
@@ -308,79 +323,72 @@ def whb_equiv(sa: EventStructure, sb: EventStructure, *, witness=False):
     tagged with the pomset code of its configuration.
     """
     ma, mb = _memos(sa, sb)
-    table = {}
-    la, lb = ma.lts(MODE_INTERLEAVING), mb.lts(MODE_INTERLEAVING)
-    ca, cb = (
-        _classes(lts, table, [table.setdefault(m.code(x), len(table)) for x in lts.states])
-        for m, lts in ((ma, la), (mb, lb))
-    )
+    ca, cb = _whb_classes(ma, mb)
     verdict = ca[0] == cb[0]
     if not witness:
         return verdict
     if verdict:
-        members = _class_pairs(la.states, ca, lb.states, cb)
+        members = _class_pairs(ma.configurations, ca, mb.configurations, cb)
         return True, RelationWitness(kind="weak-history-bisimulation", members=members)
     return False, None
 
 
-def _enumerate_isos(sa, sb, x_events, y_events, down_a, down_b):
-    """All label- and order-preserving bijections x_events -> y_events.
+def _enumerate_isos(sa, sb, x, y):
+    """Every label- and order-preserving bijection from configuration x of
+    sa onto y of sb, as the tuple of images of x's events in id order.
 
     Events are matched in causal-depth order, so a candidate's predecessor
-    set is fully mapped when it is examined; requiring the image of the
-    predecessor set to match exactly captures order preservation both ways.
+    set (inside x, which is downward closed) is fully mapped when it is
+    examined; requiring its image to be the predecessor set of the match
+    exactly captures order preservation both ways.
     """
-    xs = sorted(x_events, key=lambda e: (down_a[e].bit_count(), e))
+    xe = list(_bits(x))
+    xs = sorted(xe, key=lambda e: (sa.down[e].bit_count(), e))
     y_by_label = defaultdict(list)
-    for f in y_events:
+    for f in _bits(y):
         y_by_label[sb.labels[f]].append(f)
-    out = []
     mapping = {}
     used = set()
 
     def rec(i):
         if i == len(xs):
-            out.append(dict(mapping))
+            yield tuple(mapping[e] for e in xe)
             return
         e = xs[i]
         want = 0
-        for p in _bits(down_a[e]):
+        for p in _bits(sa.down[e]):
             want |= 1 << mapping[p]
         for f in y_by_label.get(sa.labels[e], ()):
-            if f in used or down_b[f] != want:
+            if f in used or sb.down[f] != want:
                 continue
             mapping[e] = f
             used.add(f)
-            rec(i + 1)
+            yield from rec(i + 1)
             used.discard(f)
             del mapping[e]
 
-    rec(0)
-    return out
+    return rec(0)
 
 
 def _hp_universe(ma: Semantics, mb: Semantics):
-    """All triples (X, Y, f) with f an isomorphism poset(X) -> poset(Y).
+    """The triples (X, Y, f) with whb relating X and Y and f an isomorphism
+    poset(X) -> poset(Y), stored as the tuple of images of X's events in
+    ascending id order; empty when whb fails at the roots.
 
-    f is stored as the tuple of images of X's events in ascending id order.
-    The left memo keeps the triples for the most recent right structure, so
-    hb and hhb on one pair share them.  Keyed by the structure, not its
-    memo, so that a memo compared with itself holds no reference cycle.
+    The (X, Y) pairs of any history preserving bisimulation form a whb
+    bisimulation, so no member of the hb or hhb fixpoint is missing.
+    Raises `SizeLimit` as soon as there are more than `MAX_TRIPLES`.
     """
-    sa, sb = ma.s, mb.s
-    right, triples = ma._universe
-    if right is sb:
-        return triples
-    down_in_b = {m: [sb.down[f] & m for f in range(sb.n)] for m in mb.configurations}
+    ca, cb = _whb_classes(ma, mb)
     triples = set()
-    for x in ma.configurations:
-        xe = list(_bits(x))
-        da = [sa.down[e] & x for e in range(sa.n)]
-        for y in mb.by_code.get(ma.code(x), ()):
-            db = down_in_b[y]
-            for mapping in _enumerate_isos(sa, sb, xe, list(_bits(y)), da, db):
-                triples.add((x, y, tuple(mapping[e] for e in xe)))
-    ma._universe = (sb, triples)
+    if ca[0] != cb[0]:
+        return triples
+    for x, y in _class_pairs(ma.configurations, ca, mb.configurations, cb):
+        for ftuple in _enumerate_isos(ma.s, mb.s, x, y):
+            triples.add((x, y, ftuple))
+            if len(triples) > MAX_TRIPLES:
+                raise SizeLimit(f"at least {len(triples)} history-preserving triples; "
+                                f"limit is {MAX_TRIPLES}")
     return triples
 
 
@@ -404,32 +412,24 @@ def _image_of(x, ftuple, mask):
 
 def _hp_fixpoint(ma, mb, hereditary, *, witness=False):
     sa, sb = ma.s, mb.s
-    alive = set(_hp_universe(ma, mb))
+    alive = _hp_universe(ma, mb)
     en_a, en_b = ma.enabled, mb.enabled
     root = (0, 0, ())
 
     def ok(triple):
         x, y, ftuple = triple
-        for e in en_a[x]:
-            want = _image_of(x, ftuple, sa.down[e])
-            x2 = x | (1 << e)
-            if not any(
-                sb.labels[f] == sa.labels[e]
-                and sb.down[f] == want
-                and (x2, y | (1 << f), _insert_image(x, ftuple, e, f)) in alive
-                for f in en_b[y]
-            ):
-                return False
-        for f in en_b[y]:
-            want = sb.down[f]
-            y2 = y | (1 << f)
-            if not any(
+
+        def match(e, f):  # e and f extend the triple to a live one
+            return (
                 sa.labels[e] == sb.labels[f]
-                and _image_of(x, ftuple, sa.down[e]) == want
-                and (x | (1 << e), y2, _insert_image(x, ftuple, e, f)) in alive
-                for e in en_a[x]
-            ):
-                return False
+                and _image_of(x, ftuple, sa.down[e]) == sb.down[f]
+                and (x | 1 << e, y | 1 << f, _insert_image(x, ftuple, e, f)) in alive
+            )
+
+        if not all(any(match(e, f) for f in en_b[y]) for e in en_a[x]):
+            return False
+        if not all(any(match(e, f) for e in en_a[x]) for f in en_b[y]):
+            return False
         if hereditary:
             for pos, e in enumerate(_bits(x)):
                 if sa.up[e] & x:

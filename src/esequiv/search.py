@@ -9,11 +9,12 @@ canonical form; every n-event class arises this way from the class of some
 maximal-event-deleted substructure, so the sweep is complete.
 
 Buckets of cheap language invariants cut the quadratic pair testing; a
-bucket key is only ever an invariant implied by the chosen coarse relation,
-so bucketing never loses a qualifying pair.  Trace fingerprints are root
-class ids of the determinized systems under one rank-pass table per search.
-Within a bucket, ib, sb and pb group members by root class under one table
-per bucket; other coarse relations are tested pairwise.
+bucket key holds only the finest trace invariant the chosen coarse
+relation implies, so bucketing never loses a qualifying pair.  Trace
+fingerprints are root class ids of the determinized systems under one
+rank-pass table per search.  Within a bucket, ib, sb and pb group members
+by root class under one table per bucket; other coarse relations are
+tested pairwise.
 """
 
 from __future__ import annotations
@@ -194,11 +195,14 @@ def _bucket_key(s, spec, table):
     sem = Semantics(s)
     key = [tuple(sorted(s.labels))]
     if spec.use_filters:
-        key.append(it_fingerprint(sem, table))
-        if implies(spec.coarse, Relation.ST):
-            key.append(st_fingerprint(sem, table))
+        # the finest trace invariant the coarse relation implies; pt implies
+        # st and st implies it, so a coarser one would split no bucket further
         if implies(spec.coarse, Relation.PT):
             key.append(frozenset(sem.by_code))
+        elif implies(spec.coarse, Relation.ST):
+            key.append(st_fingerprint(sem, table))
+        else:
+            key.append(it_fingerprint(sem, table))
     if spec.sdm_filter:
         key.append(source_deleted_multiset(s))
     return tuple(key)

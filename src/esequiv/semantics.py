@@ -30,6 +30,7 @@ MODES = (MODE_INTERLEAVING, MODE_STEP, MODE_POMSET)
 
 MAX_LTS_EVENTS = 30
 MAX_CONFIGURATIONS = 1 << 16
+MAX_TRANSITIONS = 1 << 18
 
 
 def is_configuration(s: EventStructure, mask: int) -> bool:
@@ -160,19 +161,16 @@ class Semantics:
     on first use: configurations, enabled events, pomset codes, and one
     transition system per mode.
 
-    A memo lives for one call (one pair check, one search bucket) and is
-    never attached to the structure or kept in a module-level cache: the
-    transition systems of a whole corpus would not fit the memory budget.
-    Public functions accept either a structure or a memo of it.
+    A memo lives for one call (one pair check, one search bucket), holds
+    nothing about a pair, and is never attached to the structure or kept in
+    a module-level cache: the transition systems of a whole corpus would
+    not fit the memory budget.  Public functions accept a structure or a memo.
     """
 
     def __init__(self, s: EventStructure):
         self.s = s
         self._codes = {}
         self._lts = {}
-        # (right structure, history-preserving triples), kept by
-        # equivalences._hp_universe
-        self._universe = (None, None)
 
     @classmethod
     def of(cls, s):
@@ -212,7 +210,8 @@ class Semantics:
 
 
 def build_lts(s: EventStructure | Semantics, mode: str) -> Lts:
-    """Full transition system of the structure under the given mode."""
+    """Full transition system of the structure under the given mode; raises
+    `SizeLimit` as soon as it has more than `MAX_TRANSITIONS` transitions."""
     if mode not in MODES:
         raise ModeMismatch(f"unknown mode {mode!r}")
     sem = Semantics.of(s)
@@ -222,6 +221,7 @@ def build_lts(s: EventStructure | Semantics, mode: str) -> Lts:
     states = sem.configurations
     index = {m: i for i, m in enumerate(states)}
     successors = []
+    count = 0
     for i, mask in enumerate(states):
         if mode == MODE_INTERLEAVING:
             moves = [(s.labels[e], index[mask | 1 << e]) for e in sem.enabled[mask]]
@@ -235,6 +235,9 @@ def build_lts(s: EventStructure | Semantics, mode: str) -> Lts:
         else:  # every strictly larger configuration; they come later in size order
             later = range(i + 1, len(states))
             moves = [(sem.code(states[j] & ~mask), j) for j in later if states[j] & mask == mask]
+        count += len(moves)
+        if count > MAX_TRANSITIONS:
+            raise SizeLimit(f"at least {count} {mode} transitions; limit is {MAX_TRANSITIONS}")
         successors.append(tuple(sorted(moves)))
     return Lts(mode, states, tuple(successors))
 

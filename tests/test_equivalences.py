@@ -20,7 +20,7 @@ from esequiv.equivalences import (
     trace_equiv,
     whb_equiv,
 )
-from esequiv.errors import ModeMismatch
+from esequiv.errors import ModeMismatch, SizeLimit
 from esequiv.semantics import MODE_INTERLEAVING, MODE_POMSET, MODE_STEP, MODES, build_lts
 from esequiv.spectrum import builtin_fixtures
 from esequiv.structure import build
@@ -189,6 +189,14 @@ class TestHistoryPreserving:
     def test_hhb_reflexive(self, ex22):
         assert hhb_equiv(ex22, ex22)
 
+    def test_triple_bound(self):
+        # the 8-atom antichain has sum(C(8, j)**2 * j!) = 1,441,729 triples
+        # (7 atoms: 130,922); the count stops as soon as it passes the bound
+        atoms = from_expr("||".join(["a"] * 8))
+        bound = f"at least {eq.MAX_TRIPLES + 1} history-preserving triples; limit is 262144"
+        with pytest.raises(SizeLimit, match=bound):
+            hb_equiv(atoms, atoms)
+
 
 class TestFullMatrix:
     def test_seq_vs_par(self):
@@ -255,7 +263,7 @@ class TestDispatch:
         ok, wit = check(R.HHB, from_expr("a"), from_expr("a+a"), witness=True)
         assert ok and wit.kind == "hereditary-history-bisimulation"
 
-    def test_matrix_decides_each_relation_once_and_shares_the_triples(
+    def test_matrix_decides_each_relation_once_and_builds_triples_for_whb_pairs(
         self, monkeypatch, ex22, pair_st_not_ib
     ):
         calls = Counter()
@@ -285,13 +293,24 @@ class TestDispatch:
             "hhb_equiv": 1,
             "_iso": 1,
         })
-        pairs = [pair_st_not_ib, (ex22, ex22), (from_expr("a;(b||c)"), from_expr("(a;b)||c"))]
-        for left, right in pairs:
-            hb_equiv(left, right)
-            builds = calls.pop("_enumerate_isos")
+        # it-not-ib-cs fails whb at the roots, although 5 of its
+        # configuration pairs have equal whb class; whb holds on
+        # hb-not-hhb-cs, where 21 of the 46 pairs of equal pomset are whb pairs
+        fixtures = {fx.name: (fx.left, fx.right) for fx in builtin_fixtures()}
+        pairs = [
+            pair_st_not_ib,
+            fixtures["it-not-ib-cs"],
+            fixtures["hb-not-hhb-cs"],
+            (ex22, ex22),
+            (from_expr("a;(b||c)"), from_expr("(a;b)||c")),
+            (from_expr("a"), from_expr("a+a")),
+        ]
+        related = [whb_equiv(left, right, witness=True) for left, right in pairs]
+        assert {ok for ok, _ in related} == {True, False}
+        for (left, right), (ok, wit) in zip(pairs, related):
             calls.clear()
             full_matrix(left, right, witness=True)
-            # the triples hb and hhb read are built once per matrix
-            assert calls.pop("_enumerate_isos") == builds
+            # hb and hhb each build the triples of every pair whb relates,
+            # and none at all when whb fails at the roots
+            assert calls.pop("_enumerate_isos", 0) == (2 * len(wit.members) if ok else 0)
             assert calls == once
-            calls.clear()

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from esequiv.algebra import from_expr
-from esequiv.equivalences import _MODE_OF, Relation, bisim, trace_equiv
+from esequiv.equivalences import _MODE_OF, Relation, bisim, implies, trace_equiv
 from esequiv.errors import NoPairFound, NotAnEes, SizeLimit
 from esequiv.search import (
     SearchSpec,
@@ -18,12 +18,21 @@ from esequiv.search import (
     source_deleted_multiset,
     st_fingerprint,
 )
-from esequiv.semantics import build_lts
+from esequiv.semantics import Semantics, build_lts
 from esequiv.structure import EventStructure, build, canonical_form, isomorphic
 
 from oracles import o_step_traces, o_traces
 
 R = Relation
+
+
+def _partition(keys):
+    """The classes of equal keys, as a set of frozensets of positions."""
+    classes = {}
+    for idx, key in enumerate(keys):
+        classes.setdefault(key, set()).add(idx)
+    return {frozenset(c) for c in classes.values()}
+
 
 # one-label class counts for sizes 0..6, frozen from the over-numbered
 # oracle below (all transitively closed relations inside i<j, deduplicated)
@@ -219,6 +228,23 @@ class TestSearch:
             assert len(sizes) == 5
             for classes, groups, tested in sizes:
                 assert (groups, tested) == (classes, "0")
+
+    def test_bucket_key_partition_equals_all_three_invariants(self):
+        # the key holds only the finest trace invariant the coarse relation
+        # implies; the partition must be the one all implied invariants give
+        table = {}
+        for reps in _poset_levels(5, 2)[1:]:
+            full = []
+            for s in reps:
+                sem = Semantics(s)
+                full.append((tuple(sorted(s.labels)), it_fingerprint(sem, table),
+                             st_fingerprint(sem, table), frozenset(sem.by_code)))
+            for coarse in R:
+                keep = (True, True, implies(coarse, R.ST), implies(coarse, R.PT))
+                old = [tuple(v for v, k in zip(key, keep) if k) for key in full]
+                spec = SearchSpec(coarse=coarse, fine=R.ISO, max_events=5, alphabet=2)
+                new = [_bucket_key(s, spec, table) for s in reps]
+                assert _partition(new) == _partition(old), coarse
 
     @pytest.mark.parametrize("coarse", [R.IB, R.SB, R.PB])
     @pytest.mark.parametrize("alphabet, max_events", [(1, 6), (2, 4)])

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 import sys
 from collections import Counter
 
@@ -14,6 +15,7 @@ from esequiv.semantics import (
     MODE_POMSET,
     MODE_STEP,
     MAX_CONFIGURATIONS,
+    MAX_TRANSITIONS,
     Lts,
     Semantics,
     build_lts,
@@ -155,6 +157,15 @@ class TestLts:
         big = build(31, {i: "a" for i in range(31)})
         with pytest.raises(SizeLimit):
             build_lts(big, MODE_INTERLEAVING)
+
+    def test_transition_bound(self):
+        # 3**12 - 2**12 = 527,345 pomset transitions, counted state by state
+        bound = f"pomset transitions; limit is {MAX_TRANSITIONS}"
+        with pytest.raises(SizeLimit, match=bound) as err:
+            build_lts(build(12, ["a"] * 12), MODE_POMSET)
+        count = int(re.search(r"at least (\d+) ", str(err.value)).group(1))
+        # past the bound by less than one state's moves (at most 2**12 - 1)
+        assert MAX_TRANSITIONS < count < MAX_TRANSITIONS + 2**12
 
     def test_rejects_systems_the_deciders_cannot_read(self):
         # the deciders index states by the table; a bad index must not reach them
