@@ -69,6 +69,11 @@ class NotAnEes(EsError):
     """Operation requires a conflict-free structure."""
 
 
+class InvalidCorpusSpec(EsError):
+    """A corpus recipe asks for a class, size, alphabet or count outside
+    what the generator supports; the message names the bound."""
+
+
 class UnsatisfiableSpec(EsError):
     """Random generation kept producing invalid structures; densities too hostile."""
 

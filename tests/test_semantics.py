@@ -167,6 +167,20 @@ class TestLts:
         # past the bound by less than one state's moves (at most 2**12 - 1)
         assert MAX_TRANSITIONS < count < MAX_TRANSITIONS + 2**12
 
+    def test_wide_antichain_codes_each_size_once(self, monkeypatch):
+        # the 65,535 subsets of the root fall into 16 pomsets, one per size
+        monkeypatch.setattr(semantics, "_POMSET_CODES", {})
+        real, calls = structure.canon_encode, []
+
+        def counting(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(structure, "canon_encode", counting)
+        with pytest.raises(SizeLimit, match="pomset transitions"):
+            build_lts(build(16, ["a"] * 16), MODE_POMSET)
+        assert len(calls) <= 16
+
     def test_rejects_systems_the_deciders_cannot_read(self):
         # the deciders index states by the table; a bad index must not reach them
         good = ((0, 1), ((("a", 1),), ()))
@@ -277,6 +291,7 @@ class TestSemanticsMemo:
             if name.startswith("esequiv") and getattr(module, "restrict", None) is real:
                 monkeypatch.setattr(module, "restrict", counting)
         for fx in builtin_fixtures():
+            monkeypatch.setattr(semantics, "_POMSET_CODES", {})  # nothing coded yet
             calls.clear()
             full_matrix(fx.left, fx.right)
             assert calls, fx.name
@@ -297,3 +312,55 @@ class TestSemanticsMemo:
         inputs = [left, right] + [s for pair in res.pairs for s in pair]
         for s in inputs:
             assert set(vars(s)) <= allowed, sorted(vars(s))
+
+
+def pomset_steps(s):
+    """The event sets of the pomset moves: differences of nested configurations."""
+    configs = configurations(s)
+    return sorted({y & ~x for x in configs for y in configs if y & x == x and y != x})
+
+
+class TestPomsetCodeTable:
+    def test_codes_are_exact_after_warming(self):
+        for fx in builtin_fixtures():
+            full_matrix(fx.left, fx.right)
+        # equal label ranks, different labels: a;b warms the table for b;c
+        for expr in ("a;b", "a||b", "a+b"):
+            Semantics(from_expr(expr)).by_code
+        rng = random.Random(71)
+        probes = [from_expr("b;c"), from_expr("b||c"), from_expr("c;b")]
+        probes += [random_structure(rng, max_events=6, alphabet=rng.randint(1, 3)) for _ in range(60)]
+        for s in probes:
+            sem = Semantics(s)
+            for m in sem.configurations:
+                assert sem.code(m) == pomset_code(poset_of(s, m))
+            for m in pomset_steps(s):
+                assert sem.code(m) == pomset_code(structure.restrict(s, m))
+        assert Semantics(from_expr("b;c")).code(0b11) != Semantics(from_expr("a;b")).code(0b11)
+
+    def test_a_conflict_is_part_of_the_key(self):
+        choice, par = from_expr("a+b"), from_expr("a||b")
+        for first, second in ((par, choice), (choice, par)):
+            for s in (first, second):
+                assert Semantics(s).code(0b11) == pomset_code(structure.restrict(s, 0b11))
+        assert Semantics(choice).code(0b11) != Semantics(par).code(0b11)
+
+    def test_bound_clears_the_table(self, monkeypatch):
+        pairs = [(fx.left, fx.right) for fx in builtin_fixtures()]
+        monkeypatch.setattr(semantics, "_POMSET_CODES", {})
+        want = [repr(full_matrix(a, b, witness=True)) for a, b in pairs]
+        sizes = []
+
+        class Watched(dict):
+            def __setitem__(self, key, value):
+                super().__setitem__(key, value)
+                sizes.append(len(self))
+
+        monkeypatch.setattr(semantics, "MAX_POMSET_CODES", 4)
+        monkeypatch.setattr(semantics, "_POMSET_CODES", Watched())
+        assert [repr(full_matrix(a, b, witness=True)) for a, b in pairs] == want
+        for s in {s for pair in pairs for s in pair}:
+            sem = Semantics(s)
+            for m in sem.configurations:
+                assert sem.code(m) == pomset_code(poset_of(s, m))
+        assert len(sizes) > 4 and max(sizes) <= 4

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 from esequiv.equivalences import Relation, full_matrix
@@ -8,6 +9,7 @@ from esequiv.spectrum import (
     FIG_CS,
     FIG_EES,
     FIG_PES,
+    DIAGRAMS,
     CorpusSpec,
     abrow,
     arow,
@@ -196,3 +198,20 @@ class TestCollapses:
                 continue
             assert hb_equiv(a, b) == whb_equiv(a, b)
             pairs_checked += 1
+
+
+class TestReports:
+    #: sha256 of render() + summary_table() for 100 pairs at seed 1, up to
+    #: 8 events, 2 labels: the bytes of ``esequiv spectrum --table``
+    DIGESTS = {
+        "pes": "712d96121fa34a26b351a4fef996e6134511eb8248a70864d3089d174794ef52",
+        "cs": "be2459c4c80ad477effe881acbd0b6bfbcd88e4d9c362a7375cb9366721c656d",
+        "ees": "168c86450ab0d0f83bfb3636b1865ade52d72a166394509f3f60baa483213813",
+    }
+
+    def test_report_bytes_are_pinned(self):
+        for cls, digest in self.DIGESTS.items():
+            spec = CorpusSpec(structure_class=cls, count=100, max_events=8, alphabet=2, seed=1)
+            report = verify_spectrum(corpus_pairs(spec), DIAGRAMS[cls])
+            text = report.render() + report.summary_table()
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, cls
