@@ -10,16 +10,21 @@ maximal-event-deleted substructure, so the sweep is complete.
 
 Buckets of cheap language invariants cut the quadratic pair testing; a
 bucket key holds only the finest trace invariant the chosen coarse
-relation implies, so bucketing never loses a qualifying pair.  Trace
-fingerprints are root class ids of the determinized systems under one
-rank-pass table per search.  Within a bucket, ib, sb and pb group members
-by root class under one table per bucket; other coarse relations are
+relation implies, so bucketing never loses a qualifying pair.
+
+Each class representative gets one `Semantics` memo while it is keyed, so
+its transition system is built once.  Its trace fingerprint is the root
+class id of its determinized system, and with ib or sb as the coarse
+relation the memo also gives the root's bisimulation class id; both come
+from one rank-pass table per size.  The bisimulation class stays out of
+the bucket key, and a bucket groups its members by it.  pb builds its
+pomset systems only inside buckets of two or more members, and groups
+them by root class under one table per bucket; other coarse relations are
 tested pairwise.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .equivalences import (
@@ -128,8 +133,10 @@ def st_fingerprint(s: EventStructure, table):
     return _language_fingerprint(Semantics.of(s).lts(MODE_STEP), table)
 
 
-#: coarse relations whose members are grouped by bisimulation class
+#: coarse relations whose members are grouped by bisimulation class; the
+#: first two get their classes while keying
 _CLASS_KEYED = (Relation.IB, Relation.SB, Relation.PB)
+_ROOTS_AT_KEY = (Relation.IB, Relation.SB)
 
 
 @dataclass(frozen=True)
@@ -192,7 +199,8 @@ def _certificate_text(spec, stats, found_size):
 
 def _bucket_key(s, spec, table):
     """Invariants of `s` implied by the coarse relation; fingerprints under `table`."""
-    sem = Semantics(s)
+    sem = Semantics.of(s)
+    s = sem.s
     key = [tuple(sorted(s.labels))]
     if spec.use_filters:
         # the finest trace invariant the coarse relation implies; pt implies
@@ -208,17 +216,34 @@ def _bucket_key(s, spec, table):
     return tuple(key)
 
 
-def _process_bucket(members, coarse, fine):
+def _buckets(reps, spec, table):
+    """Bucket key -> (member indices, their root class ids or None), in
+    member order.  A member's key and, for ib and sb, its root class come
+    from one memo, under the rank-pass `table`."""
+    keyed = spec.coarse in _ROOTS_AT_KEY
+    buckets = {}
+    for idx, s in enumerate(reps):
+        sem = Semantics(s)
+        members, roots = buckets.setdefault(_bucket_key(sem, spec, table), ([], []))
+        members.append(idx)
+        if keyed:
+            roots.append(_classes(sem.lts(_MODE_OF[spec.coarse]), table)[0])
+    return {key: (members, roots or None) for key, (members, roots) in buckets.items()}
+
+
+def _process_bucket(members, coarse, fine, roots=None):
     """Group one bucket by the coarse relation, in member order; return the
-    groups, the number of pairs tested and the local qualifying pairs."""
+    groups, the number of pairs tested and the local qualifying pairs.
+    `roots` are the members' root class ids under one table, if known."""
     sems = [Semantics(s) for s in members]
     pairs_tested = 0
-    if coarse in _CLASS_KEYED:
+    if roots is None and coarse in _CLASS_KEYED:
         # a root's class under a table shared by the bucket is an exact key
         table = {}
+        roots = [_classes(sem.lts(_MODE_OF[coarse]), table)[0] for sem in sems]
+    if roots is not None:
         by_class = {}
-        for idx, sem in enumerate(sems):
-            root = _classes(sem.lts(_MODE_OF[coarse]), table)[0]
+        for idx, root in enumerate(roots):
             by_class.setdefault(root, []).append(idx)
         groups = list(by_class.values())
     else:
@@ -252,24 +277,23 @@ def find_minimal_pairs(spec: SearchSpec) -> SearchResult:
     to the bound yields a pair.
     """
     levels = _poset_levels(spec.max_events, spec.alphabet)
-    table = {}  # one rank-pass table for every fingerprint of the call
     stats = {}
     for size in range(1, spec.max_events + 1):
         reps = levels[size]
         st = SizeStats(classes=len(reps))
         stats[size] = st
-        buckets = defaultdict(list)
-        for idx, s in enumerate(reps):
-            buckets[_bucket_key(s, spec, table)].append(idx)
+        # ids are compared only within a size, so the table stays bounded
+        # by the largest size, not the whole search
+        buckets = _buckets(reps, spec, {})
         st.buckets = len(buckets)
-        st.largest_bucket = max(len(v) for v in buckets.values())
+        st.largest_bucket = max(len(members) for members, _ in buckets.values())
         found = []
-        for members in buckets.values():  # the pairs found are sorted below
+        for members, roots in buckets.values():  # the pairs found are sorted below
             if len(members) == 1:
                 st.groups += 1
                 continue
             groups, tested, pairs = _process_bucket(
-                [reps[i] for i in members], spec.coarse, spec.fine
+                [reps[i] for i in members], spec.coarse, spec.fine, roots
             )
             st.groups += len(groups)
             st.pairs_tested += tested

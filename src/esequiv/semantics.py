@@ -168,11 +168,11 @@ class Semantics:
     on first use: configurations, enabled events, pomset codes, and one
     transition system per mode.
 
-    A memo lives for one call (one pair check, one search bucket), holds
-    nothing about a pair, and is never attached to the structure or kept in
-    a module-level cache: the transition systems of a whole corpus would
-    not fit the memory budget.  Pomset codes alone are shared: `code` looks
-    each one up in the process-wide `_POMSET_CODES` table, keyed by the
+    A memo lives for one call (one pair check, one search key or bucket),
+    holds nothing about a pair, and is never attached to the structure or
+    kept in a module-level cache: the transition systems of a whole corpus
+    would not fit the memory budget.  Pomset codes alone are shared: `code`
+    looks each one up in the process-wide `_POMSET_CODES` table, keyed by the
     induced substructure and bounded by `MAX_POMSET_CODES`, because codes
     are small and most of them repeat a poset that another structure already
     coded (88% of them on the spectrum benchmark corpus).  Each worker
@@ -257,44 +257,55 @@ def build_lts(s: EventStructure | Semantics, mode: str) -> Lts:
         raise SizeLimit(f"structure has {s.n} events; limit is {MAX_LTS_EVENTS}")
     states = sem.configurations
     index = {m: i for i, m in enumerate(states)}
+    labels = s.labels
+    step_labels = {}  # group mask -> its sorted labels
     successors = []
     count = 0
     for i, mask in enumerate(states):
         if mode == MODE_INTERLEAVING:
-            moves = [(s.labels[e], index[mask | 1 << e]) for e in sem.enabled[mask]]
+            targets = sem.enabled[mask]
         elif mode == MODE_STEP:
-            # non-empty subsets of pairwise concurrent enabled events;
-            # enabled events are never ordered, so only conflicts matter
-            moves = [
-                (tuple(sorted(s.labels[e] for e in _bits(group))), index[mask | group])
-                for group in _independent_subsets(s, sem.enabled[mask])
-            ]
+            targets = _concurrent_groups(s.conflicts, sem.enabled[mask])
         else:  # every strictly larger configuration; they come later in size order
-            later = range(i + 1, len(states))
-            moves = [(sem.code(states[j] & ~mask), j) for j in later if states[j] & mask == mask]
-        count += len(moves)
+            targets = [j for j in range(i + 1, len(states)) if states[j] & mask == mask]
+        # counted before any move is labelled: a pomset label is a canonization
+        count += len(targets)
         if count > MAX_TRANSITIONS:
             raise SizeLimit(f"at least {count} {mode} transitions; limit is {MAX_TRANSITIONS}")
+        if mode == MODE_INTERLEAVING:
+            moves = [(labels[e], index[mask | 1 << e]) for e in targets]
+        elif mode == MODE_STEP:
+            moves = []
+            for group in targets:
+                label = step_labels.get(group)
+                if label is None:
+                    label = step_labels[group] = tuple(sorted([labels[e] for e in _bits(group)]))
+                moves.append((label, index[mask | group]))
+        else:
+            moves = [(sem.code(states[j] & ~mask), j) for j in targets]
         successors.append(tuple(sorted(moves)))
     return Lts(mode, states, tuple(successors))
 
 
-def _independent_subsets(s, events):
-    """Non-empty conflict-free subsets of `events`, as bitmasks."""
+def _concurrent_groups(conflicts, events):
+    """Non-empty conflict-free subsets of `events` as ascending bitmasks: one
+    walk over the submasks of their mask.  A submask without its top bit
+    comes earlier, so it is kept iff that rest was and the top event
+    conflicts with none of it."""
+    full = 0
+    for e in events:
+        full |= 1 << e
+    kept = {0}
     out = []
-
-    def rec(i, mask):
-        if i == len(events):
-            if mask:
-                out.append(mask)
-            return
-        e = events[i]
-        rec(i + 1, mask)
-        if not (s.conflicts[e] & mask):
-            rec(i + 1, mask | (1 << e))
-
-    rec(0, 0)
-    return sorted(out)
+    group = full & -full
+    while group:
+        top = group.bit_length() - 1
+        rest = group ^ 1 << top
+        if rest in kept and not conflicts[top] & rest:
+            kept.add(group)
+            out.append(group)
+        group = (group - full) & full
+    return out
 
 
 def trace_language(lts: Lts, limit: int = 1_000_000):

@@ -1,15 +1,20 @@
+import hashlib
 import itertools
 import random
 import re
+from collections import Counter
 
 import pytest
 
 from esequiv.algebra import from_expr
 from esequiv.equivalences import _MODE_OF, Relation, bisim, implies, trace_equiv
+from esequiv import semantics
 from esequiv.errors import NoPairFound, NotAnEes, SizeLimit
+from esequiv.formats import dumps_es
 from esequiv.search import (
     SearchSpec,
     _bucket_key,
+    _buckets,
     _process_bucket,
     _poset_levels,
     enumerate_posets,
@@ -258,12 +263,12 @@ class TestSearch:
         # oracles, spares pairwise tests that cannot succeed
         language = o_traces if coarse is R.IB else o_step_traces
         mode = _MODE_OF[coarse]
-        table = {}
         for reps in _poset_levels(max_events, alphabet)[1:]:
-            buckets = {}
-            for s in reps:
-                buckets.setdefault(_bucket_key(s, spec, table), []).append(s)
-            for members in buckets.values():
+            # ib and sb roots come from keying, under one table per size as
+            # in a search; pb has none and groups inside the bucket
+            for indices, roots in _buckets(reps, spec, {}).values():
+                assert (roots is None) == (coarse is R.PB)
+                members = [reps[i] for i in indices]
                 systems = [build_lts(s, mode) for s in members]
                 keys = [frozenset(language(s)) for s in members]
                 pairwise = []
@@ -275,5 +280,87 @@ class TestSearch:
                             break
                     else:
                         pairwise.append([idx])
-                groups, tested, _ = _process_bucket(members, coarse, R.ISO)
+                groups, tested, _ = _process_bucket(members, coarse, R.ISO, roots)
                 assert (groups, tested) == (pairwise, 0)
+                if roots is not None:
+                    # the per-bucket path still groups ib and sb the same way
+                    assert _process_bucket(members, coarse, R.ISO)[:2] == (pairwise, 0)
+
+    # sb/iso searches all 405 one-label classes up to 6 events; ib/iso stops
+    # at a||a against a;a, after the 3 classes of sizes 1 and 2
+    @pytest.mark.parametrize("coarse, classes", [(R.SB, 405), (R.IB, 3)])
+    def test_each_class_system_is_built_once(self, coarse, classes, monkeypatch):
+        real, built = semantics.build_lts, Counter()
+
+        def counting(s, mode):
+            built[mode] += 1
+            return real(s, mode)
+
+        monkeypatch.setattr(semantics, "build_lts", counting)
+        spec = SearchSpec(coarse=coarse, fine=R.ISO, max_events=6, alphabet=1)
+        try:
+            searched = sum(st.classes for st in find_minimal_pairs(spec).stats.values())
+        except NoPairFound as err:
+            searched = sum(map(int, re.findall(r"(\d+) classes", err.certificate)))
+        assert searched == classes
+        assert built == {_MODE_OF[coarse]: classes}
+
+
+class TestSearchOutputBytes:
+    """Certificates and found pairs, byte for byte, pinned across changes to
+    the search's speed."""
+
+    #: (coarse, fine, alphabet, max_events) -> sha256 of the certificate and
+    #: the sha256 of the .es text of each found pair (None: no pair)
+    DIGESTS = {
+        (R.SB, R.ISO, 1, 7): (
+            "b47e2e92f63dd01c69b0846f3b1ad686c20a4aa01f1a2934c6bf747180296e28", None,
+        ),
+        (R.IT, R.IB, 2, 4): (
+            "d38b668c160500b0cd13773b4780585d832cd4a44f7c7712fa2bd466757985dd",
+            [
+                ("8ccb371c1cc7a38582545206549667ecc938f8590ff707caf52c1f67fe331de7",
+                 "9c9754c84142c8aaa772b9cfb09c7931b550782d2ece5c9c0ae862fe105ae187"),
+                ("d227bfe0a69f8bb798134a6e8a51b3ebf92ef769c7987726ec92acc1d4350815",
+                 "32e3409ae5cfe12969b9128f75bae0d0aefb7684c5d2e1a478bbe0c6c4798ff9"),
+            ],
+        ),
+        (R.IB, R.SB, 1, 6): (
+            "771670969b279f12a9320de47d0b952cd207b95df1ac90f268ae569eb3b924e6",
+            [
+                ("ccb3d851e9ff676251fac7613ea675b86b1e804de5a3029a04be53877f11b4c7",
+                 "55f9fddc8ca23f7ccd708e0e1486fc874f7ef25917e53c17543517646d09e3c0"),
+            ],
+        ),
+        (R.ST, R.SB, 1, 6): (
+            "966b0ae0b96b7910a0851cbc04206b7e8b3223bb06dbee23ca5c2d22544ff22a",
+            [
+                ("ec477e72cf0e4d658e2116af0f9e7286031b913e048f00143fcb7eafe8e38c76",
+                 "da8651c8872eef85de93e6e4efffe49b8d6f81c09ea54591ed50c453a549b1cd"),
+            ],
+        ),
+        (R.SB, R.PB, 1, 6): (
+            "e258dc915d8bf4dddb74d9f623c41b6c32e437895ed701f6af0cb1c54e559bcb", None,
+        ),
+        (R.PB, R.WHB, 1, 6): (
+            "2d5209980dfae73037d87621e38380dd685ec042424b6ed109458167761efa48", None,
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "case", list(DIGESTS), ids=lambda c: f"{c[0].value}-{c[1].value}-{c[2]}-{c[3]}"
+    )
+    def test_search_bytes_are_pinned(self, case):
+        coarse, fine, alphabet, max_events = case
+        spec = SearchSpec(coarse=coarse, fine=fine, max_events=max_events, alphabet=alphabet)
+        try:
+            res = find_minimal_pairs(spec)
+            certificate = res.certificate()
+            pairs = [(_sha(dumps_es(a)), _sha(dumps_es(b))) for a, b in res.pairs]
+        except NoPairFound as err:
+            certificate, pairs = err.certificate, None
+        assert (_sha(certificate), pairs) == self.DIGESTS[case]
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()

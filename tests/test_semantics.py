@@ -27,12 +27,12 @@ from esequiv.semantics import (
     poset_of,
     trace_language,
 )
-from esequiv.search import SearchSpec, find_minimal_pairs
+from esequiv.search import SearchSpec, enumerate_posets, find_minimal_pairs
 from esequiv.spectrum import builtin_fixtures
 from esequiv.structure import EventStructure, build
 
 from conftest import random_structure
-from oracles import o_configs
+from oracles import in_conflict, o_configs, o_enabled, o_step_succ
 
 
 def masks(*event_sets):
@@ -180,6 +180,44 @@ class TestLts:
         with pytest.raises(SizeLimit, match="pomset transitions"):
             build_lts(build(16, ["a"] * 16), MODE_POMSET)
         assert len(calls) <= 16
+
+    def test_moves_are_counted_before_they_are_coded(self, monkeypatch):
+        # 65,535 moves from the root alone: the state that passes the bound
+        # must raise before any of its pomsets is coded
+        real, calls = Semantics.code, []
+
+        def counting(self, mask):
+            calls.append(mask)
+            return real(self, mask)
+
+        monkeypatch.setattr(Semantics, "code", counting)
+        with pytest.raises(SizeLimit, match=f"pomset transitions; limit is {MAX_TRANSITIONS}"):
+            build_lts(build(16, ["a"] * 16), MODE_POMSET)
+        assert 0 < len(calls) <= MAX_TRANSITIONS
+
+    def test_step_transition_bound(self):
+        # 3**16 - 2**16 steps, as many as pomset moves on an antichain
+        with pytest.raises(SizeLimit, match=f"step transitions; limit is {MAX_TRANSITIONS}"):
+            build_lts(build(16, ["a"] * 16), MODE_STEP)
+
+    def test_step_moves_match_the_oracle(self):
+        rng = random.Random(47)
+        structures = [random_structure(rng, max_events=7) for _ in range(60)]
+        structures += [s for n in range(1, 7) for s in enumerate_posets(n)]
+        enabled_conflicts = 0
+        for s in structures:
+            lts = build_lts(s, MODE_STEP)
+            for mask, moves in zip(lts.states, lts.successors):
+                X = frozenset(e for e in range(s.n) if mask >> e & 1)
+                got = {(label, lts.states[j]) for label, j in moves}
+                want = {(label, sum(1 << e for e in Y)) for label, Y in o_step_succ(s, X)}
+                assert got == want
+                assert len(moves) == len(got)
+                assert list(moves) == sorted(moves)
+                free = o_enabled(s, X)
+                enabled_conflicts += any(in_conflict(s, e, f) for e in free for f in free)
+        # the walk's conflict test is exercised, not only the conflict-free case
+        assert enabled_conflicts > 0
 
     def test_rejects_systems_the_deciders_cannot_read(self):
         # the deciders index states by the table; a bad index must not reach them
