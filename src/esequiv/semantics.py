@@ -288,24 +288,15 @@ def build_lts(s: EventStructure | Semantics, mode: str) -> Lts:
 
 
 def _concurrent_groups(conflicts, events):
-    """Non-empty conflict-free subsets of `events` as ascending bitmasks: one
-    walk over the submasks of their mask.  A submask without its top bit
-    comes earlier, so it is kept iff that rest was and the top event
-    conflicts with none of it."""
-    full = 0
+    """Non-empty conflict-free subsets of the ascending `events`, as ascending
+    bitmasks.  Each event extends only the groups kept so far that it has no
+    conflict with, so the work follows the number of groups, not of submasks;
+    the groups with a new top event come after every group without it."""
+    groups = [0]
     for e in events:
-        full |= 1 << e
-    kept = {0}
-    out = []
-    group = full & -full
-    while group:
-        top = group.bit_length() - 1
-        rest = group ^ 1 << top
-        if rest in kept and not conflicts[top] & rest:
-            kept.add(group)
-            out.append(group)
-        group = (group - full) & full
-    return out
+        bit = 1 << e
+        groups += [g | bit for g in groups if not conflicts[e] & g]
+    return groups[1:]
 
 
 def trace_language(lts: Lts, limit: int = 1_000_000):

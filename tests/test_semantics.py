@@ -2,6 +2,7 @@ import dataclasses
 import random
 import re
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -199,6 +200,16 @@ class TestLts:
         # 3**16 - 2**16 steps, as many as pomset moves on an antichain
         with pytest.raises(SizeLimit, match=f"step transitions; limit is {MAX_TRANSITIONS}"):
             build_lts(build(16, ["a"] * 16), MODE_STEP)
+
+    def test_step_groups_follow_conflict_free_groups(self):
+        # 30 pairwise-conflicting events enabled at the root: 30 groups, not
+        # a walk over 2**30 submasks
+        s = from_expr("+".join(["a"] * 30))
+        start = time.perf_counter()
+        lts = build_lts(s, MODE_STEP)
+        assert time.perf_counter() - start < 5
+        assert lts.successors[0] == tuple((("a",), j) for j in range(1, 31))
+        assert len(lts.transitions) == 30
 
     def test_step_moves_match_the_oracle(self):
         rng = random.Random(47)
