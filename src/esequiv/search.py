@@ -6,33 +6,36 @@ relation but separated by a fine one.  Classes are generated by extending
 each (n-1)-event representative with one fresh maximal event whose
 predecessor set ranges over all downward-closed sets, deduplicating by
 canonical form; every n-event class arises this way from the class of some
-maximal-event-deleted substructure, so the sweep is complete.
+maximal-event-deleted substructure, so the sweep is complete.  A candidate
+is first deduplicated by its order key, the poset numbered by (label,
+causes, effects): equal keys mean isomorphic candidates, so one whose key
+was already met in its level is skipped without being canonized.
 
 Buckets of cheap language invariants cut the quadratic pair testing; a
 bucket key holds only the finest trace invariant the chosen coarse
 relation implies, so bucketing never loses a qualifying pair.
 
 Each class representative gets one `Semantics` memo while it is keyed, so
-its transition system is built once.  Its trace fingerprint is the root
-class id of its determinized system, and with ib or sb as the coarse
-relation the memo also gives the root's bisimulation class id; both come
-from one rank-pass table per size.  The bisimulation class stays out of
-the bucket key, and a bucket groups its members by it.  pb builds its
-pomset systems only inside buckets of two or more members, and groups
-them by root class under one table per bucket; other coarse relations are
-tested pairwise.
+its transition system is built once, and one class pass over it in the
+fingerprint's mode gives every state its bisimulation class under one
+table per size.  The trace fingerprint is the language of the root's
+class, read from those classes (bisimilar states have equal languages);
+with ib or sb as the coarse relation the root's class itself groups a
+bucket's members, and stays out of the bucket key.  pb builds its pomset
+systems only inside buckets of two or more members, and groups them by
+root class under one table per bucket; other coarse relations are tested
+pairwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
-from .equivalences import (
-    _MODE_OF, Relation, _classes, _indexed, _rank_pass, _subset_step, check, implies
-)
+from .equivalences import _MODE_OF, Relation, _classes, check, implies
 from .errors import NoPairFound, NotAnEes, SizeLimit
 from .semantics import MODE_INTERLEAVING, MODE_STEP, Semantics, configurations
-from .structure import EventStructure, canonical_form, restrict
+from .structure import EventStructure, _bits, canonical_form, restrict
 
 MAX_SEARCH_EVENTS = 9
 MAX_SEARCH_ALPHABET = 3
@@ -49,11 +52,36 @@ def _extended(base: EventStructure, downset: int, letter: str) -> EventStructure
     )
 
 
+def _order_key(s: EventStructure):
+    """The labels and the cause rows, packed, of a conflict-free `s` with its
+    events renumbered by (label, number of causes, number of effects), ties
+    by event id.  Equal keys mean equal numbered posets, so isomorphic ones;
+    isomorphic posets may still have different keys."""
+    labels, down = s.labels, s.down
+    n = len(down)
+    pairs = [(c, e) for e in range(n) for c in _bits(down[e])]
+    effects = [0] * n
+    for c, _ in pairs:
+        effects[c] += 1
+    order = sorted(range(n), key=lambda e: (labels[e], down[e].bit_count(), effects[e]))
+    pos = [0] * n
+    for i, e in enumerate(order):
+        pos[e] = i
+    packed = 0
+    for c, e in pairs:  # row pos[e] holds the bit pos[c]
+        packed |= 1 << (pos[e] * n + pos[c])
+    return tuple(labels[e] for e in order), packed
+
+
 def _poset_levels(max_events: int, alphabet: int):
-    """levels[k] = canonical representatives of every k-event class."""
-    if max_events > MAX_SEARCH_EVENTS:
+    """levels[k] = canonical representatives of every k-event class.
+
+    A candidate whose order key was already met in its level is isomorphic
+    to an earlier one, so it is skipped without being canonized; the first
+    candidate of each class is still the one kept."""
+    if not 0 <= max_events <= MAX_SEARCH_EVENTS:
         raise SizeLimit(
-            f"poset enumeration capped at {MAX_SEARCH_EVENTS} events, got {max_events}"
+            f"poset enumeration supports 0..{MAX_SEARCH_EVENTS} events, got {max_events}"
         )
     if not 1 <= alphabet <= MAX_SEARCH_ALPHABET:
         raise SizeLimit(f"poset enumeration supports 1..{MAX_SEARCH_ALPHABET} labels")
@@ -61,11 +89,16 @@ def _poset_levels(max_events: int, alphabet: int):
     levels = [[EventStructure(labels=(), down=(), conflicts=())]]
     for _ in range(max_events):
         reps = {}
+        met = set()
         for base in levels[-1]:
             # in a conflict-free structure the configurations are the downsets
             for downset in configurations(base):
                 for letter in letters:
                     cand = _extended(base, downset, letter)
+                    key = _order_key(cand)
+                    if key in met:
+                        continue
+                    met.add(key)
                     code = canonical_form(cand)
                     if code not in reps:
                         reps[code] = cand
@@ -92,45 +125,66 @@ def source_deleted_multiset(s: EventStructure):
 # language fingerprints (exact invariants for trace equivalences)
 # ---------------------------------------------------------------------------
 
+_LABEL_BITS = (1 << 32) - 1
 
-def _language_fingerprint(lts, table):
-    """Class id of the trace language of `lts` under the rank-pass `table`.
 
-    Subset construction, then the language classes of the subsets in one
-    bottom-up pass: on a deterministic system they are its bisimulation
-    classes, so systems fingerprinted with one table get equal root ids iff
-    their languages are equal.
+class _LanguageTable:
+    """Trace-language ids of transition systems; equal under one table iff
+    the languages are equal.
+
+    `classes` is a rank-pass table, and `root` gives a system's states their
+    bisimulation class ids in it, keeping the signature of each new class:
+    its moves packed as `_rank_pass` packs them, class << 32 | label id.
+    Bisimilar states have equal languages, so the language of a set of
+    classes is read from the quotient: it interns, in a table of its own,
+    the sorted language ids of the successor sets under each label, packed
+    with the label id, and is computed once per set of classes.
     """
-    rows = _indexed(lts)
-    label_ids = [(label, table.setdefault(label, len(table))) for label in rows]
-    ids = {1: 0}
-    subsets = [1]
-    trans = []  # per subset id: list of (label id, dst subset id)
-    for sub in subsets:  # grows as new subsets are met
-        out = []
-        for label, label_id in label_ids:
-            target = _subset_step(rows, label, sub)
-            if target:
-                if target not in ids:
-                    ids[target] = len(subsets)
-                    subsets.append(target)
-                out.append((label_id, ids[target]))
-        trans.append(out)
-    # States are sorted by size, so a subset's lowest state is one of its
-    # least size; every step grows that size, so the lowest bits decrease
-    # bottom-up.
-    order = sorted(range(len(subsets)), key=lambda i: subsets[i] & -subsets[i], reverse=True)
-    return _rank_pass(trans, order, table)[0]
+
+    def __init__(self):
+        self.classes = {}
+        self._keys = []  # table id -> its key in `classes`
+        self._ids = {}  # language signature -> language id
+        self._of = {}  # sorted tuple of class ids -> language id
+
+    def root(self, lts):
+        """Class id of the root of `lts`."""
+        table = self.classes
+        root = _classes(lts, table)[0]
+        # ids count the table's entries, so the new keys are the last ones
+        new = len(table) - len(self._keys)
+        self._keys.extend(list(islice(reversed(table), new))[::-1])
+        return root
+
+    def language(self, classes):
+        """Language id of the union of the sorted tuple of class ids."""
+        got = self._of.get(classes)
+        if got is None:
+            succ = {}
+            for c in classes:
+                for move in self._keys[c]:
+                    succ.setdefault(move & _LABEL_BITS, set()).add(move >> 32)
+            sig = tuple(sorted(
+                self.language(tuple(sorted(dst))) << 32 | label for label, dst in succ.items()
+            ))
+            got = self._of[classes] = self._ids.setdefault(sig, len(self._ids))
+        return got
+
+
+def _fingerprint(s, mode, table):
+    return table.language((table.root(Semantics.of(s).lts(mode)),))
 
 
 def it_fingerprint(s: EventStructure, table):
-    """Interleaving trace class of `s`: equal under one table iff it-equivalent."""
-    return _language_fingerprint(Semantics.of(s).lts(MODE_INTERLEAVING), table)
+    """Interleaving trace class of `s`: equal under one `_LanguageTable` iff
+    it-equivalent."""
+    return _fingerprint(s, MODE_INTERLEAVING, table)
 
 
 def st_fingerprint(s: EventStructure, table):
-    """Step trace class of `s`: equal under one table iff st-equivalent."""
-    return _language_fingerprint(Semantics.of(s).lts(MODE_STEP), table)
+    """Step trace class of `s`: equal under one `_LanguageTable` iff
+    st-equivalent."""
+    return _fingerprint(s, MODE_STEP, table)
 
 
 #: coarse relations whose members are grouped by bisimulation class; the
@@ -197,37 +251,55 @@ def _certificate_text(spec, stats, found_size):
     return "\n".join(lines) + "\n"
 
 
-def _bucket_key(s, spec, table):
-    """Invariants of `s` implied by the coarse relation; fingerprints under `table`."""
-    sem = Semantics.of(s)
-    s = sem.s
-    key = [tuple(sorted(s.labels))]
-    if spec.use_filters:
-        # the finest trace invariant the coarse relation implies; pt implies
-        # st and st implies it, so a coarser one would split no bucket further
-        if implies(spec.coarse, Relation.PT):
+def _keyer(spec):
+    """The bucket key function of a search: (memo, table) -> (key, root).
+
+    The key holds the invariants of the structure implied by the coarse
+    relation, its trace fingerprint under the `_LanguageTable` `table`
+    among them; with ib or sb as the coarse relation, root is the class id
+    of its root in that table, else None.  Which invariants are kept, and
+    the one mode the class pass runs in, are decided here once.
+    """
+    coarse = spec.coarse
+    # the finest trace invariant the coarse relation implies; pt implies st
+    # and st implies it, so a coarser one would split no bucket further
+    pomsets = spec.use_filters and implies(coarse, Relation.PT)
+    fingerprint = spec.use_filters and not pomsets
+    grouped = coarse in _ROOTS_AT_KEY
+    if fingerprint:
+        # sb implies st and ib does not, so this is also their class mode
+        mode = MODE_STEP if implies(coarse, Relation.ST) else MODE_INTERLEAVING
+    else:
+        mode = _MODE_OF[coarse] if grouped else None
+    sdm = spec.sdm_filter
+
+    def key_of(sem, table):
+        s = sem.s
+        key = [tuple(sorted(s.labels))]
+        root = table.root(sem.lts(mode)) if mode else None
+        if pomsets:
             key.append(frozenset(sem.by_code))
-        elif implies(spec.coarse, Relation.ST):
-            key.append(st_fingerprint(sem, table))
-        else:
-            key.append(it_fingerprint(sem, table))
-    if spec.sdm_filter:
-        key.append(source_deleted_multiset(s))
-    return tuple(key)
+        elif fingerprint:
+            key.append(table.language((root,)))
+        if sdm:
+            key.append(source_deleted_multiset(s))
+        return tuple(key), (root if grouped else None)
+
+    return key_of
 
 
 def _buckets(reps, spec, table):
     """Bucket key -> (member indices, their root class ids or None), in
     member order.  A member's key and, for ib and sb, its root class come
-    from one memo, under the rank-pass `table`."""
-    keyed = spec.coarse in _ROOTS_AT_KEY
+    from one memo and one class pass, under the `_LanguageTable` `table`."""
+    key_of = _keyer(spec)
     buckets = {}
     for idx, s in enumerate(reps):
-        sem = Semantics(s)
-        members, roots = buckets.setdefault(_bucket_key(sem, spec, table), ([], []))
+        key, root = key_of(Semantics(s), table)
+        members, roots = buckets.setdefault(key, ([], []))
         members.append(idx)
-        if keyed:
-            roots.append(_classes(sem.lts(_MODE_OF[spec.coarse]), table)[0])
+        if root is not None:
+            roots.append(root)
     return {key: (members, roots or None) for key, (members, roots) in buckets.items()}
 
 
@@ -276,6 +348,10 @@ def find_minimal_pairs(spec: SearchSpec) -> SearchResult:
     Raises NoPairFound (carrying the exhaustion certificate) if no size up
     to the bound yields a pair.
     """
+    if not 1 <= spec.max_events <= MAX_SEARCH_EVENTS:
+        raise SizeLimit(
+            f"search supports 1..{MAX_SEARCH_EVENTS} events, got {spec.max_events}"
+        )
     levels = _poset_levels(spec.max_events, spec.alphabet)
     stats = {}
     for size in range(1, spec.max_events + 1):
@@ -284,7 +360,7 @@ def find_minimal_pairs(spec: SearchSpec) -> SearchResult:
         stats[size] = st
         # ids are compared only within a size, so the table stays bounded
         # by the largest size, not the whole search
-        buckets = _buckets(reps, spec, {})
+        buckets = _buckets(reps, spec, _LanguageTable())
         st.buckets = len(buckets)
         st.largest_bucket = max(len(members) for members, _ in buckets.values())
         found = []

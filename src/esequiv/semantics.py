@@ -53,16 +53,18 @@ def is_configuration(s: EventStructure, mask: int) -> bool:
 
 def enabled_events(s: EventStructure, mask: int):
     """Events addable to the configuration mask as a single transition."""
-    out = []
-    for e in range(s.n):
-        if (mask >> e) & 1:
-            continue
-        if s.down[e] & ~mask:
-            continue
-        if s.conflicts[e] & mask:
-            continue
-        out.append(e)
-    return out
+    return _enabled(_event_rows(s), mask)
+
+
+def _event_rows(s: EventStructure):
+    """Per event: its id, its causes, and the events that keep it out
+    (itself and its conflicts)."""
+    return [(e, d, c | 1 << e) for e, (d, c) in enumerate(zip(s.down, s.conflicts))]
+
+
+def _enabled(rows, mask):
+    """The ascending events of `rows` addable to the configuration mask."""
+    return [e for e, down, blocked in rows if mask & down == down and not mask & blocked]
 
 
 def configurations(s: EventStructure):
@@ -73,23 +75,35 @@ def configurations(s: EventStructure):
     with causality.  Raises `SizeLimit` as soon as more than
     `MAX_CONFIGURATIONS` are found.
     """
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for mask in frontier:
-            for e in enabled_events(s, mask):
-                m2 = mask | (1 << e)
-                if m2 not in seen:
-                    seen.add(m2)
-                    nxt.append(m2)
-                    if len(seen) > MAX_CONFIGURATIONS:
+    return tuple(_expansion(s))
+
+
+def _expansion(s: EventStructure):
+    """configuration -> its enabled events, one expansion for both, with the
+    configurations in (size, mask) order.  Every configuration of a size is
+    reached from one of the size below, so the expansion goes size by size;
+    it raises `SizeLimit` as soon as more than `MAX_CONFIGURATIONS` are
+    found."""
+    rows = _event_rows(s)
+    enabled = {}
+    layer = [0]
+    found = 1
+    while layer:
+        nxt = set()
+        for mask in layer:
+            events = enabled[mask] = _enabled(rows, mask)
+            for e in events:
+                m2 = mask | 1 << e
+                if m2 not in nxt:
+                    nxt.add(m2)
+                    found += 1
+                    if found > MAX_CONFIGURATIONS:
                         raise SizeLimit(
-                            f"structure has at least {len(seen)} configurations; "
+                            f"structure has at least {found} configurations; "
                             f"limit is {MAX_CONFIGURATIONS}"
                         )
-        frontier = nxt
-    return tuple(sorted(seen, key=lambda m: (m.bit_count(), m)))
+        layer = sorted(nxt)
+    return enabled
 
 
 def poset_of(s: EventStructure, mask: int) -> EventStructure:
@@ -191,13 +205,13 @@ class Semantics:
         return s if isinstance(s, cls) else cls(s)
 
     @cached_property
-    def configurations(self):
-        return configurations(self.s)
+    def enabled(self):
+        """configuration -> list of events addable to it, in configuration order."""
+        return _expansion(self.s)
 
     @cached_property
-    def enabled(self):
-        """configuration -> list of events addable to it."""
-        return {m: enabled_events(self.s, m) for m in self.configurations}
+    def configurations(self):
+        return tuple(self.enabled)
 
     def code(self, mask: int) -> bytes:
         """Pomset code of the events in mask (a configuration or the
@@ -257,15 +271,16 @@ def build_lts(s: EventStructure | Semantics, mode: str) -> Lts:
         raise SizeLimit(f"structure has {s.n} events; limit is {MAX_LTS_EVENTS}")
     states = sem.configurations
     index = {m: i for i, m in enumerate(states)}
+    enabled = sem.enabled
     labels = s.labels
     step_labels = {}  # group mask -> its sorted labels
     successors = []
     count = 0
     for i, mask in enumerate(states):
         if mode == MODE_INTERLEAVING:
-            targets = sem.enabled[mask]
+            targets = enabled[mask]
         elif mode == MODE_STEP:
-            targets = _concurrent_groups(s.conflicts, sem.enabled[mask])
+            targets = _concurrent_groups(s.conflicts, enabled[mask])
         else:  # every strictly larger configuration; they come later in size order
             targets = [j for j in range(i + 1, len(states)) if states[j] & mask == mask]
         # counted before any move is labelled: a pomset label is a canonization

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .algebra import from_expr
@@ -396,6 +395,10 @@ def verify_spectrum(pairs, diagram: Diagram, include_fixtures=True, jobs=1):
                 pairs.append((f"fx:{fx.name}:L", fx.left, f"fx:{fx.name}:R", fx.right))
     tasks = [(ln, l, rn, r, diagram) for ln, l, rn, r in pairs]
     if jobs > 1:
+        # imported here: the pool pulls multiprocessing, socket and pickle
+        # into every import of the package
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_check_pair, tasks, chunksize=8))
     else:

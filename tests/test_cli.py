@@ -166,6 +166,20 @@ class TestSearchCommand:
         assert names == ["certificate.txt", "pair_000_left.es", "pair_000_right.es"]
         assert run(["validate", "--file", os.path.join(out_dir, "pair_000_left.es")]) == 0
 
+    @pytest.mark.parametrize("bound", ["0", "-2", "10"])
+    def test_out_of_range_bound_exits_two(self, tmp_path, capsys, bound):
+        # a bound outside 1..9 searches nothing, so it certifies nothing
+        out_dir = tmp_path / "none"
+        rc = run([
+            "search", "--coarse", "sb", "--fine", "iso", "--max-n", bound,
+            "--out", str(out_dir),
+        ])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: search supports 1..9 events, got {bound}\n"
+        assert not out_dir.exists()
+
     def test_empty_search_exits_one(self, tmp_path, capsys):
         rc = run([
             "search", "--coarse", "iso", "--fine", "it", "--max-n", "3",

@@ -8,13 +8,16 @@ import pytest
 
 from esequiv.algebra import from_expr
 from esequiv.equivalences import _MODE_OF, Relation, bisim, implies, trace_equiv
-from esequiv import semantics
+from esequiv import search, semantics
 from esequiv.errors import NoPairFound, NotAnEes, SizeLimit
 from esequiv.formats import dumps_es
 from esequiv.search import (
     SearchSpec,
-    _bucket_key,
+    _LanguageTable,
     _buckets,
+    _extended,
+    _keyer,
+    _order_key,
     _process_bucket,
     _poset_levels,
     enumerate_posets,
@@ -108,6 +111,50 @@ class TestEnumerate:
             list(enumerate_posets(10, 1))
         with pytest.raises(SizeLimit):
             list(enumerate_posets(3, 4))
+        with pytest.raises(SizeLimit, match=r"0\.\.9 events, got -1"):
+            list(enumerate_posets(-1, 1))
+        assert list(enumerate_posets(0, 1)) == [EventStructure(labels=(), down=(), conflicts=())]
+
+
+class TestOrderKeys:
+    """Candidates are deduplicated by order key before they are canonized."""
+
+    #: (max_events, alphabet) -> sha256 of the .es text of every level, in
+    #: order, frozen from an enumeration that canonized every candidate
+    LEVEL_DIGESTS = {
+        (6, 1): "d6602f2225ca44e6769deef36107fdf17c06577d8de26b089e15e0e98366e69d",
+        (4, 2): "f2a4de68a43678efb160e0f1004c59c84338cf58bb979fc504a247d747e3f38f",
+    }
+
+    @pytest.mark.parametrize("case", list(LEVEL_DIGESTS), ids=lambda c: f"{c[0]}-{c[1]}")
+    def test_levels_are_pinned(self, case):
+        levels = _poset_levels(*case)
+        text = "".join(dumps_es(s) for level in levels for s in level)
+        assert _sha(text) == self.LEVEL_DIGESTS[case]
+
+    def test_fewer_candidates_are_canonized(self, monkeypatch):
+        # of the 939 candidates up to 6 events, the order keys leave 458
+        # to canonize
+        real, calls = search.canonical_form, []
+        monkeypatch.setattr(
+            search, "canonical_form", lambda s: calls.append(s) or real(s)
+        )
+        _poset_levels(6, 1)
+        assert len(calls) <= 458
+
+    @pytest.mark.parametrize("max_events, alphabet", [(6, 1), (5, 2), (4, 3)])
+    def test_equal_keys_are_isomorphic(self, max_events, alphabet):
+        first, candidates = {}, 0
+        for level in _poset_levels(max_events - 1, alphabet):
+            for base in level:
+                for downset in semantics.configurations(base):
+                    for letter in "abc"[:alphabet]:
+                        cand = _extended(base, downset, letter)
+                        candidates += 1
+                        met = first.setdefault(_order_key(cand), cand)
+                        assert isomorphic(met, cand)[0]
+        # the keys do merge candidates, so the check is not vacuous
+        assert len(first) < candidates
 
 
 class TestSourceDeleted:
@@ -131,7 +178,7 @@ class TestSourceDeleted:
 
 class TestFingerprints:
     # one class table for every pair and for both modes, as in a search
-    table = {}
+    table = _LanguageTable()
 
     def test_it_fingerprint_exact(self):
         rng = random.Random(71)
@@ -155,8 +202,45 @@ class TestFingerprints:
             same_lang = trace_equiv(build_lts(a, "step"), build_lts(b, "step"))
             assert (st_fingerprint(a, self.table) == st_fingerprint(b, self.table)) == same_lang
 
+    @staticmethod
+    def _structures():
+        """Every one-label poset up to 6 events, every two-label poset up to
+        4, and 40 seeded pes and cs structures with conflicts."""
+        from conftest import random_structure
+
+        out = [s for level in _poset_levels(6, 1) for s in level]
+        out += [s for level in _poset_levels(4, 2) for s in level]
+        rng = random.Random(79)
+        conflicting = []
+        while len(conflicting) < 40:
+            s = random_structure(
+                rng, max_events=5, alphabet=rng.choice((1, 2)), classes=("pes", "cs")
+            )
+            if any(s.conflicts):
+                conflicting.append(s)
+        return out + conflicting
+
+    @pytest.mark.parametrize(
+        "fingerprint, language", [(it_fingerprint, o_traces), (st_fingerprint, o_step_traces)]
+    )
+    def test_fingerprint_partition_is_the_language_partition(self, fingerprint, language):
+        structures = self._structures()
+        table = _LanguageTable()
+        got = _partition(fingerprint(s, table) for s in structures)
+        want = _partition(frozenset(language(s)) for s in structures)
+        assert got == want
+        # equal languages do occur, so the partition is not all singletons
+        assert len(want) < len(structures)
+
 
 class TestSearch:
+    @pytest.mark.parametrize("max_events", [0, -2, 10])
+    def test_bound_outside_the_sizes_raises(self, max_events):
+        # a bound below 1 would search no size and still certify exhaustion
+        spec = SearchSpec(coarse=R.SB, fine=R.ISO, max_events=max_events)
+        with pytest.raises(SizeLimit, match=rf"1\.\.9 events, got {max_events}$"):
+            find_minimal_pairs(spec)
+
     def test_smallest_it_not_st_pair(self):
         res = find_minimal_pairs(
             SearchSpec(coarse=R.IT, fine=R.ST, max_events=4, alphabet=1)
@@ -237,7 +321,7 @@ class TestSearch:
     def test_bucket_key_partition_equals_all_three_invariants(self):
         # the key holds only the finest trace invariant the coarse relation
         # implies; the partition must be the one all implied invariants give
-        table = {}
+        table = _LanguageTable()
         for reps in _poset_levels(5, 2)[1:]:
             full = []
             for s in reps:
@@ -248,7 +332,7 @@ class TestSearch:
                 keep = (True, True, implies(coarse, R.ST), implies(coarse, R.PT))
                 old = [tuple(v for v, k in zip(key, keep) if k) for key in full]
                 spec = SearchSpec(coarse=coarse, fine=R.ISO, max_events=5, alphabet=2)
-                new = [_bucket_key(s, spec, table) for s in reps]
+                new = [_keyer(spec)(Semantics(s), table)[0] for s in reps]
                 assert _partition(new) == _partition(old), coarse
 
     @pytest.mark.parametrize("coarse", [R.IB, R.SB, R.PB])
@@ -266,7 +350,7 @@ class TestSearch:
         for reps in _poset_levels(max_events, alphabet)[1:]:
             # ib and sb roots come from keying, under one table per size as
             # in a search; pb has none and groups inside the bucket
-            for indices, roots in _buckets(reps, spec, {}).values():
+            for indices, roots in _buckets(reps, spec, _LanguageTable()).values():
                 assert (roots is None) == (coarse is R.PB)
                 members = [reps[i] for i in indices]
                 systems = [build_lts(s, mode) for s in members]

@@ -66,14 +66,16 @@ class TestConfigurations:
         assert len(configurations(build(16, ["a"] * 16))) == MAX_CONFIGURATIONS
         # 2**25 configurations: the expansion stops as soon as it passes the bound
         expanded = []
-        enabled = semantics.enabled_events
+        enabled = semantics._enabled
         monkeypatch.setattr(
-            semantics, "enabled_events", lambda s, m: expanded.append(m) or enabled(s, m)
+            semantics, "_enabled", lambda rows, m: expanded.append(m) or enabled(rows, m)
         )
         bound = f"at least {MAX_CONFIGURATIONS + 1} configurations; limit is {MAX_CONFIGURATIONS}"
         with pytest.raises(SizeLimit, match=bound):
             configurations(build(25, ["a"] * 25))
-        assert len(expanded) <= MAX_CONFIGURATIONS
+        # counted where the expansion computes enabled events, so a count of
+        # 0 would mean the hook no longer sees the expansion
+        assert 0 < len(expanded) <= MAX_CONFIGURATIONS
 
 
 class TestPosets:
@@ -320,6 +322,11 @@ class TestSemanticsMemo:
             s = random_structure(rng, max_events=6)
             sem = Semantics(s)
             assert sem.configurations == configurations(s)
+            # one expansion gives both, in configuration order
+            assert list(sem.enabled) == list(sem.configurations)
+            for mask, events in sem.enabled.items():
+                X = frozenset(e for e in range(s.n) if mask >> e & 1)
+                assert events == sorted(o_enabled(s, X))
             for mode in (MODE_INTERLEAVING, MODE_STEP, MODE_POMSET):
                 assert sem.lts(mode) is sem.lts(mode)
                 assert sem.lts(mode) == build_lts(s, mode) == build_lts(Semantics(s), mode)

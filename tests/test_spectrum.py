@@ -1,5 +1,8 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
 
 from esequiv.equivalences import Relation, full_matrix
 from esequiv.errors import UnsatisfiableSpec
@@ -166,6 +169,16 @@ class TestVerify:
         serial = verify_spectrum(corpus_pairs(spec), FIG_EES, jobs=1)
         parallel = verify_spectrum(corpus_pairs(spec), FIG_EES, jobs=2)
         assert serial.summary_table() == parallel.summary_table()
+
+    def test_import_leaves_the_pool_out(self):
+        # the pool is imported only by a run with jobs > 1
+        code = "import esequiv, sys; print('concurrent.futures' in sys.modules)"
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout == "False\n"
 
 
 class TestCollapses:
