@@ -6,7 +6,9 @@ bisimilarity, by one rank-based pass that gives every state a class id
 bottom-up, since the systems are acyclic; the plain and hereditary history
 preserving relations by greatest fixpoints over triples carrying an
 explicit poset isomorphism, built only for the configuration pairs that
-whb's classes relate.
+whb's classes relate.  One `Pair` per call holds what these three share:
+whb's classes, computed once, and one set of triples, built once, that hb
+prunes in place and hhb prunes from a copy.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import enum
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ModeMismatch, SizeLimit, SpectrumViolation
 from .semantics import MODE_INTERLEAVING, MODE_POMSET, MODE_STEP, Lts, Semantics
@@ -280,15 +283,10 @@ def _bisim_line(la: Lts, lb: Lts, cls_a, cls_b):
 # ---------------------------------------------------------------------------
 
 
-def _memos(sa, sb):
-    """One memo per side; a structure compared with itself gets one memo."""
-    ma = Semantics.of(sa)
-    return ma, (ma if sb == sa else Semantics.of(sb))
-
-
-def pomset_trace_equiv(sa: EventStructure, sb: EventStructure, *, witness=False):
+def pomset_trace_equiv(sa: EventStructure, sb: EventStructure = None, *, witness=False):
     """Equality of the sets of configuration pomsets."""
-    ma, mb = _memos(sa, sb)
+    pair = Pair.of(sa, sb)
+    ma, mb = pair.ma, pair.mb
     if ma.by_code.keys() == mb.by_code.keys():
         return (True, None) if witness else True
     if not witness:
@@ -304,31 +302,60 @@ def pomset_trace_equiv(sa: EventStructure, sb: EventStructure, *, witness=False)
 # ---------------------------------------------------------------------------
 
 
-def _whb_classes(ma: Semantics, mb: Semantics):
-    """Class ids of both sides' interleaving states under one table, each
-    state tagged with the pomset code of its configuration: equal ids iff
-    whb relates the two configurations."""
-    table = {}
-    return tuple(
-        _classes(lts, table, [table.setdefault(m.code(x), len(table)) for x in lts.states])
-        for m, lts in ((ma, ma.lts(MODE_INTERLEAVING)), (mb, mb.lts(MODE_INTERLEAVING)))
-    )
+class Pair:
+    """One memo per side, plus what whb, hb and hhb share, each computed on
+    first use: whb's classes and one set of triples.  The triples start as
+    the universe; hb prunes them in place, hhb a copy.  Both starts reach
+    hhb's fixpoint: every hhb bisimulation is an hb one, and pruning is
+    monotone.  A pair lives for one `check` or `full_matrix` call."""
+
+    def __init__(self, ma: Semantics, mb: Semantics):
+        self.ma, self.mb = ma, mb
+
+    @classmethod
+    def of(cls, sa, sb=None):
+        """`sa` itself if it is already a pair, else a pair of memos of `sa`
+        and `sb`; a structure compared with itself gets one memo."""
+        if isinstance(sa, cls):
+            return sa
+        if sb is None:
+            raise TypeError("two structures or memos are needed, or one Pair")
+        ma = Semantics.of(sa)
+        return cls(ma, ma if sb == sa else Semantics.of(sb))
+
+    @cached_property
+    def classes(self):
+        """Class ids of both sides' interleaving states under one table, each
+        state tagged with the pomset code of its configuration: equal ids iff
+        whb relates the two configurations."""
+        table = {}
+        out = []
+        for m in (self.ma, self.mb):
+            lts = m.lts(MODE_INTERLEAVING)
+            tags = [table.setdefault(m.code(x), len(table)) for x in lts.states]
+            out.append(_classes(lts, table, tags))
+        return tuple(out)
+
+    @cached_property
+    def triples(self):
+        """`_hp_universe`, then hb's survivors once hb has run."""
+        return _hp_universe(self)
 
 
-def whb_equiv(sa: EventStructure, sb: EventStructure, *, witness=False):
+def whb_equiv(sa: EventStructure, sb: EventStructure = None, *, witness=False):
     """Weak history preserving bisimilarity.
 
     Bisimilarity of the interleaving systems through configuration pairs
     with isomorphic posets: one rank pass over both systems, each state
     tagged with the pomset code of its configuration.
     """
-    ma, mb = _memos(sa, sb)
-    ca, cb = _whb_classes(ma, mb)
+    pair = Pair.of(sa, sb)
+    ca, cb = pair.classes
     verdict = ca[0] == cb[0]
     if not witness:
         return verdict
     if verdict:
-        members = _class_pairs(ma.configurations, ca, mb.configurations, cb)
+        members = _class_pairs(pair.ma.configurations, ca, pair.mb.configurations, cb)
         return True, RelationWitness(kind="weak-history-bisimulation", members=members)
     return False, None
 
@@ -370,7 +397,7 @@ def _enumerate_isos(sa, sb, x, y):
     return rec(0)
 
 
-def _hp_universe(ma: Semantics, mb: Semantics):
+def _hp_universe(pair: Pair):
     """The triples (X, Y, f) with whb relating X and Y and f an isomorphism
     poset(X) -> poset(Y), stored as the tuple of images of X's events in
     ascending id order; empty when whb fails at the roots.
@@ -379,7 +406,8 @@ def _hp_universe(ma: Semantics, mb: Semantics):
     bisimulation, so no member of the hb or hhb fixpoint is missing.
     Raises `SizeLimit` as soon as there are more than `MAX_TRIPLES`.
     """
-    ca, cb = _whb_classes(ma, mb)
+    ma, mb = pair.ma, pair.mb
+    ca, cb = pair.classes
     triples = set()
     if ca[0] != cb[0]:
         return triples
@@ -410,9 +438,13 @@ def _image_of(x, ftuple, mask):
     return out
 
 
-def _hp_fixpoint(ma, mb, hereditary, *, witness=False):
+def _hp_fixpoint(pair: Pair, hereditary, *, witness=False):
+    """hb's (or hhb's) greatest fixpoint, pruned from the pair's triples: in
+    place for hb, from a copy for hhb.  Pruning stops once the roots' triple
+    is dead, so the triples left may exceed the fixpoint, never miss it."""
+    ma, mb = pair.ma, pair.mb
     sa, sb = ma.s, mb.s
-    alive = _hp_universe(ma, mb)
+    alive = set(pair.triples) if hereditary else pair.triples
     en_a, en_b = ma.enabled, mb.enabled
     root = (0, 0, ())
 
@@ -453,17 +485,15 @@ def _hp_fixpoint(ma, mb, hereditary, *, witness=False):
     return False, None
 
 
-def hb_equiv(sa: EventStructure, sb: EventStructure, *, witness=False):
+def hb_equiv(sa: EventStructure, sb: EventStructure = None, *, witness=False):
     """History preserving bisimilarity: isomorphisms must grow along the play."""
-    ma, mb = _memos(sa, sb)
-    return _hp_fixpoint(ma, mb, hereditary=False, witness=witness)
+    return _hp_fixpoint(Pair.of(sa, sb), hereditary=False, witness=witness)
 
 
-def hhb_equiv(sa: EventStructure, sb: EventStructure, *, witness=False):
+def hhb_equiv(sa: EventStructure, sb: EventStructure = None, *, witness=False):
     """Hereditary history preserving bisimilarity: also closed under
     single-event backtracking on both sides."""
-    ma, mb = _memos(sa, sb)
-    return _hp_fixpoint(ma, mb, hereditary=True, witness=witness)
+    return _hp_fixpoint(Pair.of(sa, sb), hereditary=True, witness=witness)
 
 
 def _iso(ma: Semantics, mb: Semantics, *, witness=False):
@@ -487,27 +517,28 @@ _MODE_OF = {
     Relation.PB: MODE_POMSET,
 }
 
-#: relations decided on the memos.  Each decider is looked up by name when
+#: relations decided on the pair.  Each decider is looked up by name when
 #: called, so a wrapper put in this module's globals sees every call.
 _ON_MEMOS = {
-    Relation.PT: lambda ma, mb, w: pomset_trace_equiv(ma, mb, witness=w),
-    Relation.WHB: lambda ma, mb, w: whb_equiv(ma, mb, witness=w),
-    Relation.HB: lambda ma, mb, w: hb_equiv(ma, mb, witness=w),
-    Relation.HHB: lambda ma, mb, w: hhb_equiv(ma, mb, witness=w),
-    Relation.ISO: lambda ma, mb, w: _iso(ma, mb, witness=w),
+    Relation.PT: lambda pair, w: pomset_trace_equiv(pair, witness=w),
+    Relation.WHB: lambda pair, w: whb_equiv(pair, witness=w),
+    Relation.HB: lambda pair, w: hb_equiv(pair, witness=w),
+    Relation.HHB: lambda pair, w: hhb_equiv(pair, witness=w),
+    Relation.ISO: lambda pair, w: _iso(pair.ma, pair.mb, witness=w),
 }
 
 
-def check(rel: Relation, sa: EventStructure, sb: EventStructure, *, witness=False):
-    """Decide one relation between two structures (or memos of them)."""
-    ma, mb = _memos(sa, sb)
+def check(rel: Relation, sa: EventStructure, sb: EventStructure = None, *, witness=False):
+    """Decide one relation between two structures (or memos of them, or
+    one `Pair`)."""
+    pair = Pair.of(sa, sb)
     mode = _MODE_OF.get(rel)
     if mode is not None:
         decide = trace_equiv if rel in (Relation.IT, Relation.ST) else bisim
-        return decide(ma.lts(mode), mb.lts(mode), witness=witness)
+        return decide(pair.ma.lts(mode), pair.mb.lts(mode), witness=witness)
     if rel not in _ON_MEMOS:
         raise ValueError(f"unknown relation {rel!r}")
-    return _ON_MEMOS[rel](ma, mb, witness)
+    return _ON_MEMOS[rel](pair, witness)
 
 
 @dataclass(frozen=True)
@@ -533,8 +564,8 @@ class VerdictMatrix:
 
 def full_matrix(sa: EventStructure, sb: EventStructure, *, witness=False) -> VerdictMatrix:
     """Run all ten checks and assert consistency with the proven inclusions."""
-    ma, mb = _memos(sa, sb)
-    results = {rel: check(rel, ma, mb, witness=witness) for rel in MATRIX_ORDER}
+    pair = Pair.of(sa, sb)
+    results = {rel: check(rel, pair, witness=witness) for rel in MATRIX_ORDER}
     if witness:
         verdicts = {rel: ok for rel, (ok, _) in results.items()}
         witnesses = {rel: wit for rel, (_, wit) in results.items()}

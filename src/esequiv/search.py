@@ -89,16 +89,17 @@ def _poset_levels(max_events: int, alphabet: int):
     levels = [[EventStructure(labels=(), down=(), conflicts=())]]
     for _ in range(max_events):
         reps = {}
-        met = set()
+        met = {}  # labels -> the packed cause rows met with them
         for base in levels[-1]:
             # in a conflict-free structure the configurations are the downsets
             for downset in configurations(base):
                 for letter in letters:
                     cand = _extended(base, downset, letter)
-                    key = _order_key(cand)
-                    if key in met:
+                    labels, packed = _order_key(cand)
+                    rows = met.setdefault(labels, set())
+                    if packed in rows:
                         continue
-                    met.add(key)
+                    rows.add(packed)
                     code = canonical_form(cand)
                     if code not in reps:
                         reps[code] = cand

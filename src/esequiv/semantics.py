@@ -51,11 +51,6 @@ def is_configuration(s: EventStructure, mask: int) -> bool:
     return True
 
 
-def enabled_events(s: EventStructure, mask: int):
-    """Events addable to the configuration mask as a single transition."""
-    return _enabled(_event_rows(s), mask)
-
-
 def _event_rows(s: EventStructure):
     """Per event: its id, its causes, and the events that keep it out
     (itself and its conflicts)."""

@@ -26,7 +26,13 @@ from esequiv.spectrum import builtin_fixtures
 from esequiv.structure import build
 
 from conftest import random_structure
-from oracles import game_witness_problems, o_distinguishing_depth, o_whb_relation
+from oracles import (
+    game_witness_problems,
+    o_distinguishing_depth,
+    o_hb,
+    o_hhb,
+    o_whb_relation,
+)
 
 R = Relation
 
@@ -245,6 +251,10 @@ class TestFullMatrix:
 
 
 class TestDispatch:
+    #: structure class -> seeds of one-label pairs (up to 5 events) that are
+    #: hb but not hhb related
+    HB_NOT_HHB_SEEDS = {"cs": (86, 711), "pes": (5239, 15848)}
+
     @pytest.mark.parametrize("rel", list(MATRIX_ORDER))
     def test_check_agrees_with_matrix(self, rel, pair_st_not_ib):
         rng = random.Random(59)
@@ -252,16 +262,44 @@ class TestDispatch:
             (random_structure(rng, max_events=5), random_structure(rng, max_events=5))
             for _ in range(40)
         ]
+        # a lone check starts hhb from the whole triple universe, the matrix
+        # from hb's survivors: both must reach the same verdict and members
+        hb_not_hhb = [
+            (fx.left, fx.right) for fx in builtin_fixtures() if fx.name == "hb-not-hhb-cs"
+        ]
+        for cls, seeds in self.HB_NOT_HHB_SEEDS.items():
+            for seed in seeds:
+                seeded = random.Random(seed)
+                hb_not_hhb.append(tuple(
+                    random_structure(seeded, max_events=5, alphabet=1, classes=(cls,))
+                    for _ in range(2)
+                ))
+        pairs += hb_not_hhb + [(from_expr("a"), from_expr("a+a"))]
         for left, right in pairs:
             m = full_matrix(left, right, witness=True)
             assert check(rel, left, right) == m[rel]
             assert check(rel, left, right, witness=True) == (m.verdicts[rel], m.witnesses[rel])
+        if rel in (R.HB, R.HHB):
+            oracle = o_hb if rel is R.HB else o_hhb
+            for left, right in hb_not_hhb:
+                assert oracle(left, right) == (rel is R.HB)
+                assert check(rel, left, right) == (rel is R.HB)
 
     def test_witness_modes(self):
         ok, wit = check(R.ISO, from_expr("a;b"), from_expr("a;b"), witness=True)
         assert ok and wit is not None
         ok, wit = check(R.HHB, from_expr("a"), from_expr("a+a"), witness=True)
         assert ok and wit.kind == "hereditary-history-bisimulation"
+
+    def test_one_pair_serves_hhb_before_hb(self):
+        # hhb must not prune the triples hb reads later
+        fx = next(fx for fx in builtin_fixtures() if fx.name == "hb-not-hhb-cs")
+        pair = eq.Pair.of(fx.left, fx.right)
+        assert eq.Pair.of(pair) is pair
+        assert not check(R.HHB, pair)
+        assert hb_equiv(pair) and whb_equiv(pair)
+        with pytest.raises(TypeError, match="one Pair"):
+            whb_equiv(fx.left)
 
     def test_matrix_decides_each_relation_once_and_builds_triples_for_whb_pairs(
         self, monkeypatch, ex22, pair_st_not_ib
@@ -281,6 +319,13 @@ class TestDispatch:
             "hb_equiv", "hhb_equiv", "_iso", "_enumerate_isos",
         ):
             monkeypatch.setattr(eq, name, counting(name, getattr(eq, name)))
+        real_classes = eq._classes
+
+        def classes(lts, table, tags=None):
+            calls["tagged _classes"] += tags is not None
+            return real_classes(lts, table, tags)
+
+        monkeypatch.setattr(eq, "_classes", classes)
         once = Counter({
             ("trace_equiv", MODE_INTERLEAVING): 1,
             ("trace_equiv", MODE_STEP): 1,
@@ -310,7 +355,9 @@ class TestDispatch:
         for (left, right), (ok, wit) in zip(pairs, related):
             calls.clear()
             full_matrix(left, right, witness=True)
-            # hb and hhb each build the triples of every pair whb relates,
-            # and none at all when whb fails at the roots
-            assert calls.pop("_enumerate_isos", 0) == (2 * len(wit.members) if ok else 0)
+            # the pair builds the triples of every pair whb relates once, for
+            # hb and hhb together, and none at all when whb fails at the roots
+            assert calls.pop("_enumerate_isos", 0) == (len(wit.members) if ok else 0)
+            # and runs whb's tagged class pass once, one call per side
+            assert calls.pop("tagged _classes") == 2
             assert calls == once
