@@ -13,7 +13,7 @@ import sys
 from . import __version__
 from .algebra import from_expr
 from .equivalences import MATRIX_ORDER, Relation, check, full_matrix
-from .errors import EsError
+from .errors import EsError, NoPairFound
 from .formats import dumps_es, export_dot, lts_label_text, read_es, write_es
 from .semantics import (
     MODE_INTERLEAVING,
@@ -30,26 +30,12 @@ from .structure import classify
 _MODE_BY_FLAG = {"i": MODE_INTERLEAVING, "s": MODE_STEP, "p": MODE_POMSET}
 
 
-class _InputAction(argparse.Action):
-    """Collect --expr/--file occurrences preserving their order."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        kind = "expr" if option_string == "--expr" else "file"
-        items = getattr(namespace, "inputs", None) or []
-        items.append((kind, values))
-        namespace.inputs = items
-
-
-def _load(item):
-    kind, value = item
-    if kind == "expr":
-        return from_expr(value)
-    return read_es(value)
-
-
 def _add_inputs(parser, count):
-    parser.add_argument("--expr", action=_InputAction, help="algebra expression input")
-    parser.add_argument("--file", action=_InputAction, help=".es file input")
+    # one list for both flags keeps the inputs in command-line order
+    parser.add_argument("--expr", dest="inputs", action="append",
+                        type=lambda v: (from_expr, v), help="algebra expression input")
+    parser.add_argument("--file", dest="inputs", action="append",
+                        type=lambda v: (read_es, v), help=".es file input")
     parser.set_defaults(inputs=[], expected_inputs=count)
 
 
@@ -59,7 +45,7 @@ def _get_inputs(args):
             f"expected {args.expected_inputs} input(s) via --expr/--file, "
             f"got {len(args.inputs)}"
         )
-    return [_load(item) for item in args.inputs]
+    return [load(value) for load, value in args.inputs]
 
 
 def _build_parser():
@@ -213,16 +199,22 @@ def _cmd_search(args):
         use_filters=not args.no_filters,
         sdm_filter=args.sdm_filter,
     )
-    result = find_minimal_pairs(spec)
+    try:
+        result = find_minimal_pairs(spec)
+    except NoPairFound as exc:  # an exhausted search still writes its proof
+        result, pairs, certificate = None, [], exc.certificate
+    else:
+        pairs, certificate = result.pairs, result.certificate()
     os.makedirs(args.out, exist_ok=True)
-    for i, (left, right) in enumerate(result.pairs):
+    for i, (left, right) in enumerate(pairs):
         write_es(left, os.path.join(args.out, f"pair_{i:03d}_left.es"))
         write_es(right, os.path.join(args.out, f"pair_{i:03d}_right.es"))
-    certificate = result.certificate()
     with open(os.path.join(args.out, "certificate.txt"), "w", encoding="utf-8") as fh:
         fh.write(certificate)
     sys.stdout.write(certificate)
-    print(f"{len(result.pairs)} pair(s) of size {result.size} written to {args.out}")
+    if result is None:
+        return 1
+    print(f"{len(pairs)} pair(s) of size {result.size} written to {args.out}")
     return 0
 
 
@@ -244,9 +236,6 @@ def run(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except EsError as exc:
-        if getattr(exc, "certificate", None):  # empty search still prints its proof
-            sys.stdout.write(exc.certificate)
-            return 1
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

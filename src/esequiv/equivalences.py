@@ -28,6 +28,9 @@ MAX_TRIPLES = 1 << 18
 
 
 class Relation(enum.Enum):
+    """The ten relations; the definition order is the display order of
+    verdict tables, coarsest first."""
+
     IT = "it"
     ST = "st"
     IB = "ib"
@@ -44,18 +47,7 @@ class Relation(enum.Enum):
 
 
 #: Display order for verdict tables (coarsest first).
-MATRIX_ORDER = (
-    Relation.IT,
-    Relation.ST,
-    Relation.IB,
-    Relation.PT,
-    Relation.SB,
-    Relation.WHB,
-    Relation.PB,
-    Relation.HB,
-    Relation.HHB,
-    Relation.ISO,
-)
+MATRIX_ORDER = tuple(Relation)
 
 #: Proven inclusions between the relations: (finer, coarser) means a verdict
 #: for the finer relation forces the same verdict for the coarser one.

@@ -6,7 +6,10 @@ relation but separated by a fine one.  Classes are generated by extending
 each (n-1)-event representative with one fresh maximal event whose
 predecessor set ranges over all downward-closed sets, deduplicating by
 canonical form; every n-event class arises this way from the class of some
-maximal-event-deleted substructure, so the sweep is complete.  A candidate
+maximal-event-deleted substructure, so the sweep is complete.  Each size is
+built from the one before only when the search reaches it, and the search
+stops at the first size with a qualifying pair, so it builds no size it
+does not key and holds at most two sizes at once.  A candidate
 is first deduplicated by its order key, the poset numbered by (label,
 causes, effects): equal keys mean isomorphic candidates, so one whose key
 was already met in its level is skipped without being canonized.
@@ -73,12 +76,35 @@ def _order_key(s: EventStructure):
     return tuple(labels[e] for e in order), packed
 
 
-def _poset_levels(max_events: int, alphabet: int):
-    """levels[k] = canonical representatives of every k-event class.
+def _next_level(level, letters):
+    """Canonical representatives of every class one event larger than the
+    classes of `level`, in canonical-form order.
 
-    A candidate whose order key was already met in its level is isomorphic
-    to an earlier one, so it is skipped without being canonized; the first
-    candidate of each class is still the one kept."""
+    A candidate whose order key was already met in the new level is
+    isomorphic to an earlier one, so it is skipped without being canonized;
+    the first candidate of each class is still the one kept."""
+    reps = {}
+    met = {}  # labels -> the packed cause rows met with them
+    for base in level:
+        # in a conflict-free structure the configurations are the downsets
+        for downset in configurations(base):
+            for letter in letters:
+                cand = _extended(base, downset, letter)
+                labels, packed = _order_key(cand)
+                rows = met.setdefault(labels, set())
+                if packed in rows:
+                    continue
+                rows.add(packed)
+                code = canonical_form(cand)
+                if code not in reps:
+                    reps[code] = cand
+    return [reps[code] for code in sorted(reps)]
+
+
+def _poset_levels(max_events: int, alphabet: int):
+    """Yield level k, the canonical representatives of every k-event class,
+    for k = 0..max_events.  Each level is built from the one before only
+    when it is asked for, so a caller that stops early builds no later one."""
     if not 0 <= max_events <= MAX_SEARCH_EVENTS:
         raise SizeLimit(
             f"poset enumeration supports 0..{MAX_SEARCH_EVENTS} events, got {max_events}"
@@ -86,30 +112,18 @@ def _poset_levels(max_events: int, alphabet: int):
     if not 1 <= alphabet <= MAX_SEARCH_ALPHABET:
         raise SizeLimit(f"poset enumeration supports 1..{MAX_SEARCH_ALPHABET} labels")
     letters = _LETTERS[:alphabet]
-    levels = [[EventStructure(labels=(), down=(), conflicts=())]]
+    level = [EventStructure(labels=(), down=(), conflicts=())]
+    yield level
     for _ in range(max_events):
-        reps = {}
-        met = {}  # labels -> the packed cause rows met with them
-        for base in levels[-1]:
-            # in a conflict-free structure the configurations are the downsets
-            for downset in configurations(base):
-                for letter in letters:
-                    cand = _extended(base, downset, letter)
-                    labels, packed = _order_key(cand)
-                    rows = met.setdefault(labels, set())
-                    if packed in rows:
-                        continue
-                    rows.add(packed)
-                    code = canonical_form(cand)
-                    if code not in reps:
-                        reps[code] = cand
-        levels.append([reps[code] for code in sorted(reps)])
-    return levels
+        level = _next_level(level, letters)
+        yield level
 
 
 def enumerate_posets(n: int, alphabet: int = 1):
     """One representative per isomorphism class of n-event labelled posets."""
-    yield from _poset_levels(n, alphabet)[n]
+    for level in _poset_levels(n, alphabet):
+        pass
+    yield from level
 
 
 def source_deleted_multiset(s: EventStructure):
@@ -344,7 +358,8 @@ def _process_bucket(members, coarse, fine, roots=None):
 
 
 def find_minimal_pairs(spec: SearchSpec) -> SearchResult:
-    """All qualifying pairs at the smallest size admitting one.
+    """All qualifying pairs at the smallest size admitting one.  Each size is
+    enumerated when it is reached, so no size past that one is built.
 
     Raises NoPairFound (carrying the exhaustion certificate) if no size up
     to the bound yields a pair.
@@ -353,10 +368,9 @@ def find_minimal_pairs(spec: SearchSpec) -> SearchResult:
         raise SizeLimit(
             f"search supports 1..{MAX_SEARCH_EVENTS} events, got {spec.max_events}"
         )
-    levels = _poset_levels(spec.max_events, spec.alphabet)
     stats = {}
-    for size in range(1, spec.max_events + 1):
-        reps = levels[size]
+    levels = _poset_levels(spec.max_events, spec.alphabet)
+    for size, reps in enumerate(islice(levels, 1, None), 1):  # past the empty poset
         st = SizeStats(classes=len(reps))
         stats[size] = st
         # ids are compared only within a size, so the table stays bounded

@@ -304,12 +304,6 @@ FIG_EES = Diagram(
 
 DIAGRAMS = {"pes": FIG_PES, "cs": FIG_CS, "ees": FIG_EES}
 
-_CLASS_TAG = {
-    "pes": StructureClass.PES,
-    "cs": StructureClass.CS,
-    "ees": StructureClass.EES,
-}
-
 
 @dataclass
 class PairResult:
@@ -389,7 +383,7 @@ def verify_spectrum(pairs, diagram: Diagram, include_fixtures=True, jobs=1):
     """
     pairs = list(pairs)
     if include_fixtures:
-        tag = _CLASS_TAG[diagram.name]
+        tag = StructureClass[diagram.name.upper()]
         for fx in builtin_fixtures():
             if tag in classify(fx.left) and tag in classify(fx.right):
                 pairs.append((f"fx:{fx.name}:L", fx.left, f"fx:{fx.name}:R", fx.right))

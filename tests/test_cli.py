@@ -39,6 +39,16 @@ class TestCheck:
         assert run(["check", "iso", "--expr", wide, "--expr", wide]) == 2
         assert "error: canonical encoding supports at most 255 events" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("first_file, side", [(True, "left"), (False, "right")])
+    def test_inputs_keep_their_order(self, tmp_path, capsys, first_file, side):
+        path = tmp_path / "aa.es"
+        path.write_text("es v1\nevent 0 a\nevent 1 a\ncause 0 1\n")
+        inputs = ["--file", str(path), "--expr", "a"]
+        if not first_file:
+            inputs = inputs[2:] + inputs[:2]
+        assert run(["check", "it", "--witness"] + inputs) == 1
+        assert f"TraceWitness(side='{side}', sequence=('a', 'a'))" in out_of(capsys)
+
 
 class TestMatrix:
     def test_seq_vs_par(self, capsys):
@@ -165,6 +175,18 @@ class TestSearchCommand:
         names = sorted(os.listdir(out_dir))
         assert names == ["certificate.txt", "pair_000_left.es", "pair_000_right.es"]
         assert run(["validate", "--file", os.path.join(out_dir, "pair_000_left.es")]) == 0
+
+    def test_exhausted_search_writes_its_certificate(self, tmp_path, capsys):
+        out_dir = tmp_path / "results"
+        rc = run([
+            "search", "--coarse", "sb", "--fine", "iso", "--max-n", "3",
+            "--out", str(out_dir),
+        ])
+        assert rc == 1
+        out = out_of(capsys)
+        assert out.endswith("exhausted all sizes up to 3: no pair\n")
+        assert os.listdir(out_dir) == ["certificate.txt"]
+        assert (out_dir / "certificate.txt").read_text(encoding="utf-8") == out
 
     @pytest.mark.parametrize("bound", ["0", "-2", "10"])
     def test_out_of_range_bound_exits_two(self, tmp_path, capsys, bound):
