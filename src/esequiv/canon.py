@@ -83,37 +83,38 @@ def _twins(members, down, up, cf):
     return True
 
 
-def _encode(n, perm, lranks, down, cf):
-    """Encode the structure under the vertex order perm (position -> vertex)."""
+def _encode(n, perm, lranks, up, cf):
+    """Encode the structure under the vertex order perm (position -> vertex):
+    the event count, the label ranks, the causality matrix (row i, column j
+    set iff position i causes position j), then the strict upper triangle of
+    conflict, each bit block read row by row and zero-padded to whole
+    bytes."""
+    pos = [0] * n
+    for i, v in enumerate(perm):
+        pos[v] = i
+    top = n - 1
+    order = conflict = 0
+    for i, v in enumerate(perm):
+        order = order << n | _row(up[v], pos, top)
+        width = top - i  # columns i+1..n-1
+        conflict = conflict << width | _row(cf[v], pos, top) & ((1 << width) - 1)
     out = bytearray([n])
     out += bytes(lranks[v] for v in perm)
-    acc = 0
-    nb = 0
-    for i in range(n):
-        pi = perm[i]
-        for j in range(n):
-            acc = (acc << 1) | ((down[perm[j]] >> pi) & 1)
-            nb += 1
-            if nb == 8:
-                out.append(acc)
-                acc = 0
-                nb = 0
-    if nb:
-        out.append(acc << (8 - nb))
-        acc = 0
-        nb = 0
-    for i in range(n):
-        ci = cf[perm[i]]
-        for j in range(i + 1, n):
-            acc = (acc << 1) | ((ci >> perm[j]) & 1)
-            nb += 1
-            if nb == 8:
-                out.append(acc)
-                acc = 0
-                nb = 0
-    if nb:
-        out.append(acc << (8 - nb))
+    for block, bits in ((order, n * n), (conflict, n * top // 2)):
+        size = (bits + 7) // 8
+        out += (block << (8 * size - bits)).to_bytes(size, "big")
     return bytes(out)
+
+
+def _row(mask, pos, top):
+    """The vertices of mask as one row: position p at bit top - p, so the
+    first position is the most significant bit."""
+    row = 0
+    while mask:
+        low = mask & -mask
+        row |= 1 << (top - pos[low.bit_length() - 1])
+        mask ^= low
+    return row
 
 
 def canon_encode(n, lranks, down, cf):
@@ -143,7 +144,7 @@ def canon_encode(n, lranks, down, cf):
         perm = [0] * n
         for v in range(n):
             perm[colors[v]] = v
-        enc = _encode(n, perm, lranks, down, cf)
+        enc = _encode(n, perm, lranks, up, cf)
         if best_enc is None or enc < best_enc:
             best_enc = enc
             best_perm = perm

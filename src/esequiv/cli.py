@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from . import __version__
@@ -28,6 +29,9 @@ from .spectrum import DIAGRAMS, CorpusSpec, builtin_fixtures, corpus_pairs, veri
 from .structure import classify
 
 _MODE_BY_FLAG = {"i": MODE_INTERLEAVING, "s": MODE_STEP, "p": MODE_POMSET}
+
+#: the names `search` writes its pairs under: pair_*_left.es, pair_*_right.es
+_PAIR_FILE = re.compile(r"pair_.*_(left|right)\.es")
 
 
 def _add_inputs(parser, count):
@@ -206,6 +210,10 @@ def _cmd_search(args):
     else:
         pairs, certificate = result.pairs, result.certificate()
     os.makedirs(args.out, exist_ok=True)
+    # pairs of an earlier run would sit beside a certificate that does not name them
+    for entry in os.scandir(args.out):
+        if entry.is_file() and _PAIR_FILE.fullmatch(entry.name):
+            os.remove(entry.path)
     for i, (left, right) in enumerate(pairs):
         write_es(left, os.path.join(args.out, f"pair_{i:03d}_left.es"))
         write_es(right, os.path.join(args.out, f"pair_{i:03d}_right.es"))

@@ -10,9 +10,10 @@ maximal-event-deleted substructure, so the sweep is complete.  Each size is
 built from the one before only when the search reaches it, and the search
 stops at the first size with a qualifying pair, so it builds no size it
 does not key and holds at most two sizes at once.  A candidate
-is first deduplicated by its order key, the poset numbered by (label,
-causes, effects): equal keys mean isomorphic candidates, so one whose key
-was already met in its level is skipped without being canonized.
+is first deduplicated by its order key (`semantics._order_key`, the key of
+the pomset code table), the poset numbered by (label, causes, effects):
+equal keys mean isomorphic candidates, so one whose key was already met in
+its level is skipped without being canonized.
 
 Buckets of cheap language invariants cut the quadratic pair testing; a
 bucket key holds only the finest trace invariant the chosen coarse
@@ -37,8 +38,8 @@ from itertools import islice
 
 from .equivalences import _MODE_OF, Relation, _classes, check, implies
 from .errors import NoPairFound, NotAnEes, SizeLimit
-from .semantics import MODE_INTERLEAVING, MODE_STEP, Semantics, configurations
-from .structure import EventStructure, _bits, canonical_form, restrict
+from .semantics import MODE_INTERLEAVING, MODE_STEP, Semantics, _order_key, configurations
+from .structure import EventStructure, canonical_form, restrict
 
 MAX_SEARCH_EVENTS = 9
 MAX_SEARCH_ALPHABET = 3
@@ -55,27 +56,6 @@ def _extended(base: EventStructure, downset: int, letter: str) -> EventStructure
     )
 
 
-def _order_key(s: EventStructure):
-    """The labels and the cause rows, packed, of a conflict-free `s` with its
-    events renumbered by (label, number of causes, number of effects), ties
-    by event id.  Equal keys mean equal numbered posets, so isomorphic ones;
-    isomorphic posets may still have different keys."""
-    labels, down = s.labels, s.down
-    n = len(down)
-    pairs = [(c, e) for e in range(n) for c in _bits(down[e])]
-    effects = [0] * n
-    for c, _ in pairs:
-        effects[c] += 1
-    order = sorted(range(n), key=lambda e: (labels[e], down[e].bit_count(), effects[e]))
-    pos = [0] * n
-    for i, e in enumerate(order):
-        pos[e] = i
-    packed = 0
-    for c, e in pairs:  # row pos[e] holds the bit pos[c]
-        packed |= 1 << (pos[e] * n + pos[c])
-    return tuple(labels[e] for e in order), packed
-
-
 def _next_level(level, letters):
     """Canonical representatives of every class one event larger than the
     classes of `level`, in canonical-form order.
@@ -90,7 +70,7 @@ def _next_level(level, letters):
         for downset in configurations(base):
             for letter in letters:
                 cand = _extended(base, downset, letter)
-                labels, packed = _order_key(cand)
+                labels, packed = _order_key(cand, cand.all_mask)
                 rows = met.setdefault(labels, set())
                 if packed in rows:
                     continue

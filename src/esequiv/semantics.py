@@ -20,8 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from .canon import canon_encode
 from .errors import ModeMismatch, NotAConfiguration, SizeLimit, ValidationError
-from .structure import EventStructure, _bits, _remap, canonical_form, restrict, transitive_reduction
+from .structure import (
+    EventStructure,
+    _bits,
+    _with_label_table,
+    canonical_form,
+    restrict,
+    transitive_reduction,
+)
 
 MODE_INTERLEAVING = "interleaving"
 MODE_STEP = "step"
@@ -33,9 +41,9 @@ MAX_CONFIGURATIONS = 1 << 16
 MAX_TRANSITIONS = 1 << 18
 MAX_POMSET_CODES = 1 << 16
 
-#: induced substructure (see `_induced_key`) -> pomset code, shared by every
-#: memo of the process and cleared when it holds `MAX_POMSET_CODES` codes;
-#: `_LABELS` keeps one copy of each labels tuple its keys hold
+#: renumbered induced structure (see `_order_key`) -> pomset code, shared by
+#: every memo of the process and cleared when it holds `MAX_POMSET_CODES`
+#: codes; `_LABELS` keeps one copy of each labels tuple its keys hold
 _POMSET_CODES = {}
 _LABELS = {}
 
@@ -182,9 +190,10 @@ class Semantics:
     kept in a module-level cache: the transition systems of a whole corpus
     would not fit the memory budget.  Pomset codes alone are shared: `code`
     looks each one up in the process-wide `_POMSET_CODES` table, keyed by the
-    induced substructure and bounded by `MAX_POMSET_CODES`, because codes
-    are small and most of them repeat a poset that another structure already
-    coded (88% of them on the spectrum benchmark corpus).  Each worker
+    induced structure with its events renumbered (`_order_key`) and bounded
+    by `MAX_POMSET_CODES`, because codes are small and most of them repeat a
+    poset that another structure, or another numbering, already coded (93%
+    of them on the spectrum benchmark corpus).  Each worker
     process of `verify_spectrum(jobs>1)` has its own table.  Public
     functions accept a structure or a memo.
     """
@@ -211,18 +220,18 @@ class Semantics:
     def code(self, mask: int) -> bytes:
         """Pomset code of the events in mask (a configuration or the
         difference of two), looked up in the process-wide code table before
-        anything is canonized."""
+        anything is canonized; a miss is canonized from its key."""
         got = self._codes.get(mask)
         if got is None:
-            key = _induced_key(self.s, mask)
+            key = _order_key(self.s, mask)
             got = _POMSET_CODES.get(key)
             if got is None:
-                got = pomset_code(restrict(self.s, mask))
+                got = _canonize(key)
                 if len(_POMSET_CODES) >= MAX_POMSET_CODES:
                     _POMSET_CODES.clear()
                     _LABELS.clear()
-                labels, packed = key
-                _POMSET_CODES[_LABELS.setdefault(labels, labels), packed] = got
+                labels = key[0]
+                _POMSET_CODES[(_LABELS.setdefault(labels, labels),) + key[1:]] = got
             self._codes[mask] = got
         return got
 
@@ -241,18 +250,69 @@ class Semantics:
         return got
 
 
-def _induced_key(s: EventStructure, mask: int):
-    """The substructure induced by the events in mask, as `restrict` would
-    number it: its labels, and one int packing each event's causes and
-    conflicts (2k bits per event for k events)."""
-    kept = tuple(_bits(mask))
-    index = {e: i for i, e in enumerate(kept)}
+def _order_key(s: EventStructure, mask: int):
+    """The structure induced by the events in mask, with its events
+    renumbered by (label, causes in mask, effects in mask), ties by event id:
+    its labels, one int packing each event's causes (k bits per event for k
+    events), and, only when mask holds a conflict, one packing the conflicts
+    alike.  Equal keys mean equal renumbered structures, so isomorphic ones;
+    isomorphic structures may still have different keys.  A configuration,
+    or the difference of two, holds no conflict, so its key never equals
+    one that does."""
+    down = s.down
+    effects = [0] * len(down)
+    kept = []
+    pairs = []  # (cause, event) in mask
+    rest = mask
+    while rest:
+        low = rest & -rest
+        e = low.bit_length() - 1
+        rest ^= low
+        kept.append(e)
+        causes = down[e] & mask
+        while causes:
+            low = causes & -causes
+            c = low.bit_length() - 1
+            causes ^= low
+            effects[c] += 1
+            pairs.append((c, e))
+    labels = s.labels
+    order = sorted([(labels[e], (down[e] & mask).bit_count(), effects[e], e) for e in kept])
     k = len(kept)
+    pos = effects  # event -> its new number; `order` holds the counts now
+    for i, row in enumerate(order):
+        pos[row[3]] = i
     packed = 0
-    for i, e in enumerate(kept):
-        packed |= _remap(s.down[e] & mask, index) << 2 * i * k
-        packed |= _remap(s.conflicts[e] & mask, index) << (2 * i + 1) * k
-    return tuple(s.labels[e] for e in kept), packed
+    for c, e in pairs:  # row pos[e] holds the bit pos[c]
+        packed |= 1 << (pos[e] * k + pos[c])
+    key = tuple([row[0] for row in order]), packed
+    conflicts = s.conflicts
+    clashes = 0
+    for e in kept:
+        rivals = conflicts[e] & mask
+        while rivals:
+            low = rivals & -rivals
+            rivals ^= low
+            clashes |= 1 << (pos[e] * k + pos[low.bit_length() - 1])
+    return key + (clashes,) if clashes else key
+
+
+def _canonize(key):
+    """Pomset code of the structure an `_order_key` describes, canonized
+    from its unpacked rows: no structure is built."""
+    labels, causes = key[0], key[1]
+    conflicts = key[2] if len(key) > 2 else 0
+    k = len(labels)
+    row = (1 << k) - 1
+    table = list(dict.fromkeys(labels))  # the key's labels are sorted
+    rank = {label: i for i, label in enumerate(table)}
+    enc, _ = canon_encode(
+        k,
+        [rank[label] for label in labels],
+        [causes >> i * k & row for i in range(k)],
+        [conflicts >> i * k & row for i in range(k)],
+    )
+    return _with_label_table(enc, table)
 
 
 def build_lts(s: EventStructure | Semantics, mode: str) -> Lts:

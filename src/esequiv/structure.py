@@ -220,7 +220,13 @@ def _canon_with_perm(s: EventStructure):
     enc, perm = canon_encode(
         s.n, [rank[l] for l in s.labels], list(s.down), list(s.conflicts)
     )
-    return enc + b"|" + b"\x00".join(lbl.encode() for lbl in table), perm
+    return _with_label_table(enc, table), perm
+
+
+def _with_label_table(enc, table):
+    """Canonical bytes: canon's encoding, whose label ranks index the sorted
+    label `table`, then that table."""
+    return enc + b"|" + b"\x00".join(lbl.encode() for lbl in table)
 
 
 def isomorphic(s: EventStructure, t: EventStructure):

@@ -1,5 +1,6 @@
 """Kernel-level properties: exactness under symmetry."""
 
+import hashlib
 import random
 
 import pytest
@@ -7,8 +8,9 @@ import pytest
 from esequiv import canon
 from esequiv.algebra import from_expr
 from esequiv.errors import SizeLimit
-from esequiv.search import enumerate_posets
-from esequiv.structure import build, canonical_form, isomorphic
+from esequiv.search import _poset_levels, enumerate_posets
+from esequiv.spectrum import CorpusSpec, builtin_fixtures, corpus_pairs
+from esequiv.structure import _canon_with_perm, build, canonical_form, isomorphic
 
 
 def _shuffled(s, rng):
@@ -90,3 +92,22 @@ def test_antichain_twins_individualized_at_once(monkeypatch):
     monkeypatch.setattr(canon, "_refine", counting)
     canonical_form(build(30, ["a"] * 30))
     assert len(calls) == 2
+
+
+#: sha256 over the (encoding, permutation) of every input of
+#: `test_canonical_bytes_are_pinned`; the encodings order search levels and
+#: certificates, and the permutations reach every `IsoWitness`
+CANON_DIGEST = "8644ce021fa00b09d02fd94f3700cb25f4b2009ff0e877631ca4f66c5084a0dd"
+
+
+def test_canonical_bytes_are_pinned():
+    inputs = [s for level in _poset_levels(6, 2) for s in level]
+    inputs += [s for fx in builtin_fixtures() for s in (fx.left, fx.right)]
+    corpus = corpus_pairs(CorpusSpec("pes", 50, 8, alphabet=2, seed=1))
+    inputs += [s for _, left, _, right in corpus for s in (left, right)]
+    digest = hashlib.sha256()
+    for s in inputs:
+        enc, perm = _canon_with_perm(s)
+        digest.update(len(enc).to_bytes(4, "big") + enc + bytes(perm))
+    assert len(inputs) == 16_791 + 2 * len(builtin_fixtures()) + 100
+    assert digest.hexdigest() == CANON_DIGEST

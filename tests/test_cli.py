@@ -188,6 +188,21 @@ class TestSearchCommand:
         assert os.listdir(out_dir) == ["certificate.txt"]
         assert (out_dir / "certificate.txt").read_text(encoding="utf-8") == out
 
+    def test_rerun_removes_only_stale_pairs(self, tmp_path, capsys):
+        out_dir = tmp_path / "reuse"
+        search = ["search", "--max-n", "3", "--out", str(out_dir)]
+        assert run(search + ["--coarse", "it", "--fine", "st"]) == 0
+        kept = ["notes.txt", "pair_000.dot", "pair_000_left.es.bak"]
+        for name in kept:
+            (out_dir / name).write_text("kept\n", encoding="utf-8")
+        (out_dir / "pair_x_left.es").mkdir()  # not a file: left alone
+        assert run(search + ["--coarse", "sb", "--fine", "iso"]) == 1
+        out = out_of(capsys)
+        assert out.endswith("exhausted all sizes up to 3: no pair\n")
+        names = sorted(os.listdir(out_dir))
+        assert names == sorted(["certificate.txt", "pair_x_left.es"] + kept)
+        assert (out_dir / "certificate.txt").read_text(encoding="utf-8") in out
+
     @pytest.mark.parametrize("bound", ["0", "-2", "10"])
     def test_out_of_range_bound_exits_two(self, tmp_path, capsys, bound):
         # a bound outside 1..9 searches nothing, so it certifies nothing

@@ -1,7 +1,6 @@
 import dataclasses
 import random
 import re
-import sys
 import time
 from collections import Counter
 
@@ -33,7 +32,7 @@ from esequiv.spectrum import builtin_fixtures
 from esequiv.structure import EventStructure, build
 
 from conftest import random_structure
-from oracles import in_conflict, o_configs, o_enabled, o_step_succ
+from oracles import in_conflict, o_configs, o_enabled, o_iso, o_step_succ
 
 
 def masks(*event_sets):
@@ -335,17 +334,24 @@ class TestSemanticsMemo:
                 for m in members:
                     assert sem.code(m) == code == pomset_code(poset_of(s, m))
 
-    def test_full_matrix_restricts_each_configuration_once(self, monkeypatch):
-        real = structure.restrict
-        calls = Counter()
+    def test_full_matrix_canonizes_each_key_once(self, monkeypatch):
+        canonize, encode = semantics._canonize, semantics.canon_encode
+        keys, calls = [], Counter()
 
-        def counting(s, mask):
-            calls[(s, mask)] += 1
-            return real(s, mask)
+        def keyed(key):
+            keys.append(key)
+            return canonize(key)
 
-        for name, module in list(sys.modules.items()):
-            if name.startswith("esequiv") and getattr(module, "restrict", None) is real:
-                monkeypatch.setattr(module, "restrict", counting)
+        def counting(*args):
+            calls[keys[-1]] += 1  # the key being canonized
+            return encode(*args)
+
+        def no_restrict(s, mask):
+            raise AssertionError("a pomset code built a substructure")
+
+        monkeypatch.setattr(semantics, "_canonize", keyed)
+        monkeypatch.setattr(semantics, "canon_encode", counting)
+        monkeypatch.setattr(semantics, "restrict", no_restrict)
         for fx in builtin_fixtures():
             monkeypatch.setattr(semantics, "_POMSET_CODES", {})  # nothing coded yet
             calls.clear()
@@ -368,6 +374,10 @@ class TestSemanticsMemo:
         inputs = [left, right] + [s for pair in res.pairs for s in pair]
         for s in inputs:
             assert set(vars(s)) <= allowed, sorted(vars(s))
+
+
+def _holds_conflict(s, mask):
+    return any(s.conflicts[e] & mask for e in range(s.n) if mask >> e & 1)
 
 
 def pomset_steps(s):
@@ -393,6 +403,33 @@ class TestPomsetCodeTable:
             for m in pomset_steps(s):
                 assert sem.code(m) == pomset_code(structure.restrict(s, m))
         assert Semantics(from_expr("b;c")).code(0b11) != Semantics(from_expr("a;b")).code(0b11)
+
+    def test_keys_are_exact_on_any_mask(self, monkeypatch):
+        # every configuration, every pomset step, and masks holding a conflict
+        rng = random.Random(17)
+        probes, conflicted = [], 0
+        for _ in range(150):
+            s = random_structure(rng, max_events=6, alphabet=rng.randint(1, 3), classes=("pes",))
+            rivals = {m for m in (rng.randrange(1, 1 << s.n) for _ in range(12)) if _holds_conflict(s, m)}
+            conflicted += len(rivals)
+            probes += [(s, m) for m in sorted(set(configurations(s)) | set(pomset_steps(s)) | rivals)]
+        assert conflicted
+        first = {}
+        for s, m in probes:
+            key = semantics._order_key(s, m)
+            assert len(key) == (3 if _holds_conflict(s, m) else 2)
+            sub = structure.restrict(s, m)
+            met = first.setdefault(key, sub)
+            assert met is sub or o_iso(met, sub), (s, m)
+        # the keys do merge masks, so the check is not vacuous
+        assert len(first) < len(probes)
+        for s, m in probes:  # cold: every code is canonized from its key
+            monkeypatch.setattr(semantics, "_POMSET_CODES", {})
+            assert Semantics(s).code(m) == pomset_code(structure.restrict(s, m)), (s, m)
+        monkeypatch.setattr(semantics, "_POMSET_CODES", {})
+        for _ in range(2):  # warming, then warm
+            for s, m in probes:
+                assert Semantics(s).code(m) == pomset_code(structure.restrict(s, m)), (s, m)
 
     def test_a_conflict_is_part_of_the_key(self):
         choice, par = from_expr("a+b"), from_expr("a||b")
