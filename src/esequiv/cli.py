@@ -145,12 +145,11 @@ def _cmd_check(args):
     rel = Relation(args.relation)
     if args.witness:
         ok, wit = check(rel, left, right, witness=True)
-        print(f"{rel.value}: {'related' if ok else 'not related'}")
-        if wit is not None:
-            print(f"witness: {wit}")
     else:
-        ok = check(rel, left, right)
-        print(f"{rel.value}: {'related' if ok else 'not related'}")
+        ok, wit = check(rel, left, right), None
+    print(f"{rel.value}: {'related' if ok else 'not related'}")
+    if wit is not None:
+        print(f"witness: {wit}")
     return 0 if ok else 1
 
 
@@ -243,10 +242,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except EsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (EsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

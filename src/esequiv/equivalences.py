@@ -179,33 +179,27 @@ def trace_equiv(la: Lts, lb: Lts, *, witness=False):
 # ---------------------------------------------------------------------------
 
 
-def _rank_pass(succ, order, table, tags=None):
-    """Bisimulation class id of every state of an acyclic system, in one
+def _classes(lts: Lts, table, tags=None):
+    """Bisimulation class id of every state of `lts`, in state order, by one
     bottom-up pass (the well-founded case of Dovier, Piazza & Policriti, TCS
-    2004).  `succ[v]` lists the (label id, successor) pairs of state v, and
-    `order` takes successors first.  A state's id interns in `table` the
-    sorted tuple of its pairs packed as successor id << 32 | label id (label
-    ids count table entries, so stay below 2**32); states of all systems
+    2004): states are sorted by size, so reversed order takes successors
+    first.  Labels are interned in `table` in state order; a state's id then
+    interns its sorted moves packed as successor id << 32 | label id (label
+    ids count table entries, so stay below 2**32), so states of all systems
     sharing a table get equal ids iff bisimilar.  With `tags`, a state's
-    signature also holds `tags[v]`, so equal ids mean bisimilar through
-    states of equal tags."""
+    signature also holds `tags[v]`: equal ids mean bisimilar through states
+    of equal tags."""
+    succ = [
+        [(table.setdefault(label, len(table)), j) for label, j in moves]
+        for moves in lts.successors
+    ]
     cls = [None] * len(succ)
-    for v in order:
+    for v in reversed(range(len(succ))):
         sig = tuple(sorted({cls[w] << 32 | lab for lab, w in succ[v]}))
         if tags is not None:
             sig = (tags[v], sig)
         cls[v] = table.setdefault(sig, len(table))
     return cls
-
-
-def _classes(lts: Lts, table, tags=None):
-    """Class id of every state of `lts` in state order, labels interned in
-    `table` too.  States are sorted by size, so reversed order is bottom-up."""
-    succ = [
-        [(table.setdefault(label, len(table)), j) for label, j in moves]
-        for moves in lts.successors
-    ]
-    return _rank_pass(succ, range(len(succ) - 1, -1, -1), table, tags)
 
 
 def _class_pairs(xs, ca, ys, cb):

@@ -94,8 +94,15 @@ def dumps_es(s: EventStructure) -> str:
 
 
 def read_es(path) -> EventStructure:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_es(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        # the line of the first bad byte, counted as `loads_es` counts lines
+        line = len((data[: err.start].decode("utf-8") + "\0").splitlines())
+        raise ParseError(f"invalid UTF-8 byte {data[err.start]:#04x}", line) from None
+    return loads_es(text)
 
 
 def write_es(s: EventStructure, path) -> None:

@@ -27,14 +27,16 @@ class, read from those classes (bisimilar states have equal languages);
 with ib or sb as the coarse relation the root's class itself groups a
 bucket's members, and stays out of the bucket key.  pb builds its pomset
 systems only inside buckets of two or more members, and groups them by
-root class under one table per bucket; other coarse relations are tested
-pairwise.
+root class under one table per bucket; other coarse relations are checked
+against each group's first member.  The fine relation groups each coarse
+group of two or more members the same way (`_groups`), and a pair
+qualifies when its members fall into different fine groups.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import combinations, islice
 
 from .equivalences import _MODE_OF, Relation, _classes, check, implies
 from .errors import NoPairFound, NotAnEes, SizeLimit
@@ -110,10 +112,8 @@ def source_deleted_multiset(s: EventStructure):
     """Multiset (sorted tuple) of canonical forms after deleting each minimal event."""
     if any(s.conflicts):
         raise NotAnEes("source deletion is defined for conflict-free structures")
-    out = []
-    for e in s.minimal_events:
-        out.append(canonical_form(restrict(s, s.all_mask & ~(1 << e))))
-    return tuple(sorted(out))
+    return tuple(sorted(canonical_form(restrict(s, s.all_mask & ~(1 << e)))
+                        for e in s.minimal_events))
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +127,9 @@ class _LanguageTable:
     """Trace-language ids of transition systems; equal under one table iff
     the languages are equal.
 
-    `classes` is a rank-pass table, and `root` gives a system's states their
+    `classes` is a `_classes` table, and `root` gives a system's states their
     bisimulation class ids in it, keeping the signature of each new class:
-    its moves packed as `_rank_pass` packs them, class << 32 | label id.
+    its moves packed as `_classes` packs them, class << 32 | label id.
     Bisimilar states have equal languages, so the language of a set of
     classes is read from the quotient: it interns, in a table of its own,
     the sorted language ids of the successor sets under each label, packed
@@ -182,8 +182,8 @@ def st_fingerprint(s: EventStructure, table):
     return _fingerprint(s, MODE_STEP, table)
 
 
-#: coarse relations whose members are grouped by bisimulation class; the
-#: first two get their classes while keying
+#: relations whose members are grouped by bisimulation class, coarse or
+#: fine; as the coarse relation, the first two get their classes while keying
 _CLASS_KEYED = (Relation.IB, Relation.SB, Relation.PB)
 _ROOTS_AT_KEY = (Relation.IB, Relation.SB)
 
@@ -202,6 +202,13 @@ class SearchSpec:
 
 @dataclass
 class SizeStats:
+    """One size's certificate line: its isomorphism `classes`, the `buckets`
+    their keys make and the members of the `largest_bucket`, the coarse
+    `groups` over all buckets, `pairs_tested` (every pairwise coarse check
+    plus every pair of a coarse group that the fine relation decides, whether
+    or not a `check` ran on it; none when fine is iso, where every such pair
+    qualifies) and the qualifying pairs `found`, only at the size returned."""
+
     classes: int = 0
     buckets: int = 0
     largest_bucket: int = 0
@@ -298,42 +305,49 @@ def _buckets(reps, spec, table):
     return {key: (members, roots or None) for key, (members, roots) in buckets.items()}
 
 
-def _process_bucket(members, coarse, fine, roots=None):
-    """Group one bucket by the coarse relation, in member order; return the
-    groups, the number of pairs tested and the local qualifying pairs.
-    `roots` are the members' root class ids under one table, if known."""
-    sems = [Semantics(s) for s in members]
-    pairs_tested = 0
-    if roots is None and coarse in _CLASS_KEYED:
-        # a root's class under a table shared by the bucket is an exact key
+def _groups(sems, rel, roots=None):
+    """Group the memos `sems` by the equivalence `rel`, in member order, by
+    root class (`roots` if given, else one table for ib, sb and pb) or
+    against each group's first member; return the groups and checks made."""
+    if roots is None and rel in _CLASS_KEYED:
+        # a root's class under a table shared by the members is an exact key
         table = {}
-        roots = [_classes(sem.lts(_MODE_OF[coarse]), table)[0] for sem in sems]
+        roots = [_classes(sem.lts(_MODE_OF[rel]), table)[0] for sem in sems]
     if roots is not None:
         by_class = {}
         for idx, root in enumerate(roots):
             by_class.setdefault(root, []).append(idx)
-        groups = list(by_class.values())
-    else:
-        groups = []
-        for idx in range(len(members)):
-            for group in groups:
-                pairs_tested += 1
-                if check(coarse, sems[group[0]], sems[idx]):
-                    group.append(idx)
-                    break
-            else:
-                groups.append([idx])
+        return list(by_class.values()), 0
+    groups, checks = [], 0
+    for idx in range(len(sems)):
+        for group in groups:
+            checks += 1
+            if check(rel, sems[group[0]], sems[idx]):
+                group.append(idx)
+                break
+        else:
+            groups.append([idx])
+    return groups, checks
+
+
+def _process_bucket(members, coarse, fine, roots=None):
+    """Group one bucket by the coarse relation, in member order; return the
+    groups, the number of pairs tested and the pairs of a group that the fine
+    relation groups apart.  `roots` are the members' root class ids, if known."""
+    sems = [Semantics(s) for s in members]
+    groups, pairs_tested = _groups(sems, coarse, roots)
     found = []
     for group in groups:
-        for a in range(len(group)):
-            for b in range(a + 1, len(group)):
-                i, j = group[a], group[b]
-                # distinct representatives are never isomorphic
-                if fine is not Relation.ISO:
-                    pairs_tested += 1
-                    if check(fine, sems[i], sems[j]):
-                        continue
-                found.append((i, j))
+        if fine is Relation.ISO:
+            # distinct representatives are never isomorphic
+            found.extend(combinations(group, 2))
+        elif len(group) > 1:
+            # every pair the fine groups decide counts as tested
+            pairs_tested += len(group) * (len(group) - 1) // 2
+            fine_groups, _ = _groups([sems[i] for i in group], fine)
+            if len(fine_groups) > 1:  # else no pair of the group qualifies
+                part = {group[k]: p for p, ks in enumerate(fine_groups) for k in ks}
+                found.extend((i, j) for i, j in combinations(group, 2) if part[i] != part[j])
     return groups, pairs_tested, found
 
 
@@ -370,14 +384,10 @@ def find_minimal_pairs(spec: SearchSpec) -> SearchResult:
             st.pairs_tested += tested
             found.extend((members[i], members[j]) for i, j in pairs)
         if found:
-            result_pairs = []
-            for i, j in found:
-                left, right = reps[i], reps[j]
-                if canonical_form(left) > canonical_form(right):
-                    left, right = right, left
-                result_pairs.append((left, right))
-            result_pairs.sort(
-                key=lambda p: (canonical_form(p[0]), canonical_form(p[1]))
+            # each pair, then the list, in canonical-form order
+            result_pairs = sorted(
+                (tuple(sorted((reps[i], reps[j]), key=canonical_form)) for i, j in found),
+                key=lambda p: (canonical_form(p[0]), canonical_form(p[1])),
             )
             st.found = len(result_pairs)
             return SearchResult(spec=spec, size=size, pairs=result_pairs, stats=stats)

@@ -101,10 +101,7 @@ def build(count, labels, causes=(), conflicts=()) -> EventStructure:
     """
     if count < 0:
         raise DanglingId("event count must be non-negative")
-    if isinstance(labels, dict):
-        label_map = labels
-    else:
-        label_map = dict(enumerate(labels))
+    label_map = labels if isinstance(labels, dict) else dict(enumerate(labels))
     for e in label_map:
         if not 0 <= e < count:
             raise DanglingId(f"label given for unknown event {e}")
@@ -237,8 +234,7 @@ def isomorphic(s: EventStructure, t: EventStructure):
     enc_t, perm_t = _canon_with_perm(t)
     if enc_s != enc_t:
         return False, None
-    mapping = {perm_s[i]: perm_t[i] for i in range(s.n)}
-    return True, mapping
+    return True, dict(zip(perm_s, perm_t))
 
 
 def transitive_reduction(s: EventStructure):

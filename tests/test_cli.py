@@ -75,6 +75,12 @@ class TestStructureCommands:
         assert "configurations; limit is 65536" in err
         assert out == ""  # no half report
 
+    def test_file_not_utf8_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "bad.es"
+        path.write_bytes(b"es v1\nevent 0 \xff\n")
+        assert run(["validate", "--file", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: line 2: ")
+
     def test_show_roundtrips(self, tmp_path, capsys):
         assert run(["show", "--expr", "a;b"]) == 0
         text = out_of(capsys)

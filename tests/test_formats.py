@@ -77,6 +77,21 @@ class TestRead:
         with pytest.raises(ParseError):
             loads_es("es v1\nevent 1 a\n")
 
+    @pytest.mark.parametrize(
+        "data,line",
+        [
+            (b"es v1\nevent 0 \xff\n", 2),
+            (b"es v1\r\nevent 0 a\r\nevent 1 b\xc3(\n", 3),
+            (b"\xfe", 1),
+        ],
+    )
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path, data, line):
+        path = tmp_path / "bad.es"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as err:
+            read_es(path)
+        assert err.value.line == line
+
 
 class TestWrite:
     def test_example_pair_minimal_lines(self, ex22):

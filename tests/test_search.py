@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from esequiv.algebra import from_expr
-from esequiv.equivalences import _MODE_OF, Relation, bisim, implies, trace_equiv
+from esequiv.equivalences import _MODE_OF, Relation, _classes, bisim, check, implies, trace_equiv
 from esequiv import search, semantics
 from esequiv.errors import NoPairFound, NotAnEes, SizeLimit
 from esequiv.formats import dumps_es
@@ -379,6 +379,37 @@ class TestSearch:
                     # the per-bucket path still groups ib and sb the same way
                     assert _process_bucket(members, coarse, R.ISO)[:2] == (pairwise, 0)
 
+    @pytest.mark.parametrize("fine", [r for r in R if r is not R.ISO])
+    @pytest.mark.parametrize("coarse", [R.IT, R.ST, R.IB])
+    @pytest.mark.parametrize("alphabet, max_events", [(1, 5), (2, 4)])
+    def test_fine_groups_equal_all_pairs_checks(self, coarse, fine, alphabet, max_events):
+        spec = SearchSpec(coarse=coarse, fine=fine, max_events=max_events, alphabet=alphabet)
+        for reps in list(_poset_levels(max_events, alphabet))[1:]:
+            for indices, roots in _buckets(reps, spec, _LanguageTable()).values():
+                members = [reps[i] for i in indices]
+                assert _process_bucket(members, coarse, fine, roots) == _all_pairs_bucket(
+                    members, coarse, fine, roots
+                )
+
+    @pytest.mark.parametrize("fine", [R.IB, R.SB, R.PB])
+    @pytest.mark.parametrize("coarse", [R.IT, R.ST])
+    def test_class_keyed_fine_relations_make_no_check(self, coarse, fine, monkeypatch):
+        # the fine groups come from root classes; only the coarse relation,
+        # grouped against each group's first member, is checked
+        real, called = search.check, Counter()
+
+        def counting(rel, *args, **kwargs):
+            called[rel] += 1
+            return real(rel, *args, **kwargs)
+
+        monkeypatch.setattr(search, "check", counting)
+        spec = SearchSpec(coarse=coarse, fine=fine, max_events=5, alphabet=2)
+        try:
+            find_minimal_pairs(spec)
+        except NoPairFound:
+            pass
+        assert set(called) == {coarse}
+
     # sb/iso searches all 405 one-label classes up to 6 events; ib/iso stops
     # at a||a against a;a, after the 3 classes of sizes 1 and 2
     @pytest.mark.parametrize("coarse, classes", [(R.SB, 405), (R.IB, 3)])
@@ -397,6 +428,42 @@ class TestSearch:
             searched = sum(map(int, re.findall(r"(\d+) classes", err.certificate)))
         assert searched == classes
         assert built == {_MODE_OF[coarse]: classes}
+
+
+def _all_pairs_bucket(members, coarse, fine, roots=None):
+    """The bucket pass with every pair of a coarse group checked for the fine
+    relation: the reference the fine groups must agree with."""
+    sems = [Semantics(s) for s in members]
+    pairs_tested = 0
+    if roots is None and coarse in (R.IB, R.SB, R.PB):
+        table = {}
+        roots = [_classes(sem.lts(_MODE_OF[coarse]), table)[0] for sem in sems]
+    if roots is not None:
+        by_class = {}
+        for idx, root in enumerate(roots):
+            by_class.setdefault(root, []).append(idx)
+        groups = list(by_class.values())
+    else:
+        groups = []
+        for idx in range(len(members)):
+            for group in groups:
+                pairs_tested += 1
+                if check(coarse, sems[group[0]], sems[idx]):
+                    group.append(idx)
+                    break
+            else:
+                groups.append([idx])
+    found = []
+    for group in groups:
+        for a in range(len(group)):
+            for b in range(a + 1, len(group)):
+                i, j = group[a], group[b]
+                if fine is not R.ISO:
+                    pairs_tested += 1
+                    if check(fine, sems[i], sems[j]):
+                        continue
+                found.append((i, j))
+    return groups, pairs_tested, found
 
 
 class TestSearchOutputBytes:
@@ -437,6 +504,21 @@ class TestSearchOutputBytes:
         ),
         (R.PB, R.WHB, 1, 6): (
             "2d5209980dfae73037d87621e38380dd685ec042424b6ed109458167761efa48", None,
+        ),
+        (R.IT, R.IB, 1, 6): (
+            "3bc71bfe839ef233f8ce7d2280ab95ad226fc53c579cf2bef7329fd4dc457db1", None,
+        ),
+        (R.WHB, R.HB, 1, 6): (
+            "4cf0abf7af9b281a998899b3fa320d4b75212518ffaeee111c54e2bc1b4a2ede", None,
+        ),
+        (R.IT, R.PT, 2, 5): (
+            "d50351e8677fe8b0e24fe46b0a78a670b22cd13f98f6e26e4b659ee8b0eb39d5",
+            [
+                ("ccb3d851e9ff676251fac7613ea675b86b1e804de5a3029a04be53877f11b4c7",
+                 "55f9fddc8ca23f7ccd708e0e1486fc874f7ef25917e53c17543517646d09e3c0"),
+                ("a0f6e073f6a5b36669483483e51ad5387bfa2a0a04a6e39bb0ae9af94c4907c6",
+                 "b1a087d5c017ec89b230e86ea752c733592c051c3201177a4806374db4e89dad"),
+            ],
         ),
     }
 
