@@ -18,6 +18,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 
 from .errors import ModeMismatch, SizeLimit, SpectrumViolation
 from .semantics import MODE_INTERLEAVING, MODE_POMSET, MODE_STEP, Lts, Semantics
@@ -202,6 +203,53 @@ def _classes(lts: Lts, table, tags=None):
     return cls
 
 
+#: the bits of the label id in a move packed as `_classes` packs it
+_LABEL_BITS = (1 << 32) - 1
+
+
+class _LanguageTable:
+    """Trace-language ids of transition systems; equal under one table iff
+    the languages are equal.
+
+    `classes` is a `_classes` table, and `root` gives a system's states their
+    bisimulation class ids in it, keeping the signature of each new class:
+    its moves packed as `_classes` packs them, class << 32 | label id.
+    Bisimilar states have equal languages, so the language of a set of
+    classes is read from the quotient: it interns, in a table of its own,
+    the sorted language ids of the successor sets under each label, packed
+    with the label id, and is computed once per set of classes.
+    """
+
+    def __init__(self):
+        self.classes = {}
+        self._keys = []  # table id -> its key in `classes`
+        self._ids = {}  # language signature -> language id
+        self._of = {}  # sorted tuple of class ids -> language id
+
+    def root(self, lts):
+        """Class id of the root of `lts`."""
+        table = self.classes
+        root = _classes(lts, table)[0]
+        # ids count the table's entries, so the new keys are the last ones
+        new = len(table) - len(self._keys)
+        self._keys.extend(list(islice(reversed(table), new))[::-1])
+        return root
+
+    def language(self, classes):
+        """Language id of the union of the sorted tuple of class ids."""
+        got = self._of.get(classes)
+        if got is None:
+            succ = {}
+            for c in classes:
+                for move in self._keys[c]:
+                    succ.setdefault(move & _LABEL_BITS, set()).add(move >> 32)
+            sig = tuple(sorted(
+                self.language(tuple(sorted(dst))) << 32 | label for label, dst in succ.items()
+            ))
+            got = self._of[classes] = self._ids.setdefault(sig, len(self._ids))
+        return got
+
+
 def _class_pairs(xs, ca, ys, cb):
     """Sorted (x, y) pairs of left and right states with equal class ids."""
     by_class = defaultdict(list)
@@ -273,12 +321,12 @@ def pomset_trace_equiv(sa: EventStructure, sb: EventStructure = None, *, witness
     """Equality of the sets of configuration pomsets."""
     pair = Pair.of(sa, sb)
     ma, mb = pair.ma, pair.mb
-    if ma.by_code.keys() == mb.by_code.keys():
+    if ma.codes == mb.codes:
         return (True, None) if witness else True
     if not witness:
         return False
     for side, m, other in (("left", ma, mb), ("right", mb, ma)):
-        only = [x for code, xs in m.by_code.items() if code not in other.by_code for x in xs]
+        only = [x for x in m.configurations if m.code(x) not in other.codes]
         if only:
             return False, PomsetWitness(side=side, configuration=min(only))
 
@@ -503,6 +551,9 @@ _MODE_OF = {
     Relation.PB: MODE_POMSET,
 }
 
+#: the relations of `_MODE_OF` decided by bisimulation, so by root class
+_BY_BISIM = (Relation.IB, Relation.SB, Relation.PB)
+
 #: relations decided on the pair.  Each decider is looked up by name when
 #: called, so a wrapper put in this module's globals sees every call.
 _ON_MEMOS = {
@@ -520,7 +571,7 @@ def check(rel: Relation, sa: EventStructure, sb: EventStructure = None, *, witne
     pair = Pair.of(sa, sb)
     mode = _MODE_OF.get(rel)
     if mode is not None:
-        decide = trace_equiv if rel in (Relation.IT, Relation.ST) else bisim
+        decide = bisim if rel in _BY_BISIM else trace_equiv
         return decide(pair.ma.lts(mode), pair.mb.lts(mode), witness=witness)
     if rel not in _ON_MEMOS:
         raise ValueError(f"unknown relation {rel!r}")

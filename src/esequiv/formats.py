@@ -30,6 +30,7 @@ HEADER = "es v1"
 
 def loads_es(text: str) -> EventStructure:
     labels = {}
+    lines = {}  # event id -> the line declaring it
     causes = []
     conflicts = []
     saw_header = False
@@ -53,6 +54,7 @@ def loads_es(text: str) -> EventStructure:
                 labels[eid] = _label(parts[2])
             except InvalidLabel as err:
                 raise ParseError(str(err), lineno) from err
+            lines[eid] = lineno
         elif parts[0] in ("cause", "conflict"):
             if len(parts) != 3:
                 raise ParseError(f"{parts[0]} lines take two ids", lineno)
@@ -61,14 +63,19 @@ def loads_es(text: str) -> EventStructure:
             for x in (a, b):
                 if x not in labels:
                     raise ParseError(f"event {x} used before declaration", lineno)
+            if a == b:
+                verb = "causes" if parts[0] == "cause" else "conflicts with"
+                raise ParseError(f"event {a} {verb} itself", lineno)
             (causes if parts[0] == "cause" else conflicts).append((a, b))
         else:
             raise ParseError(f"unknown directive {parts[0]!r}", lineno)
     if not saw_header:
         raise ParseError(f"missing header {HEADER!r}", 1)
     n = len(labels)
-    if labels and sorted(labels) != list(range(n)):
-        raise ParseError("event ids must form the range 0..n-1", 1)
+    # ids are distinct, so they leave a gap iff one of them is n or more
+    beyond = [lines[e] for e in labels if e >= n]
+    if beyond:
+        raise ParseError("event ids must form the range 0..n-1", beyond[0])
     return build(n, labels, causes, conflicts)
 
 

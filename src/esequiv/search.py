@@ -38,13 +38,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, islice
 
-from .equivalences import _MODE_OF, Relation, _classes, check, implies
+from .equivalences import _BY_BISIM, _MODE_OF, Relation, _classes, _LanguageTable, check, implies
 from .errors import NoPairFound, NotAnEes, SizeLimit
 from .semantics import MODE_INTERLEAVING, MODE_STEP, Semantics, _order_key, configurations
-from .structure import EventStructure, canonical_form, restrict
+from .structure import EventStructure, canonical_form
 
 MAX_SEARCH_EVENTS = 9
 MAX_SEARCH_ALPHABET = 3
+#: the most isomorphism classes one level of the enumeration may hold
+MAX_SEARCH_CLASSES = 1 << 18
 
 _LETTERS = "abc"
 
@@ -64,7 +66,9 @@ def _next_level(level, letters):
 
     A candidate whose order key was already met in the new level is
     isomorphic to an earlier one, so it is skipped without being canonized;
-    the first candidate of each class is still the one kept."""
+    the first candidate of each class is still the one kept.  Raises
+    `SizeLimit` as soon as the new level holds more than
+    `MAX_SEARCH_CLASSES` classes."""
     reps = {}
     met = {}  # labels -> the packed cause rows met with them
     for base in level:
@@ -80,6 +84,11 @@ def _next_level(level, letters):
                 code = canonical_form(cand)
                 if code not in reps:
                     reps[code] = cand
+                    if len(reps) > MAX_SEARCH_CLASSES:
+                        raise SizeLimit(
+                            f"at least {len(reps)} classes of {cand.n} events; "
+                            f"limit is {MAX_SEARCH_CLASSES}"
+                        )
     return [reps[code] for code in sorted(reps)]
 
 
@@ -108,62 +117,21 @@ def enumerate_posets(n: int, alphabet: int = 1):
     yield from level
 
 
-def source_deleted_multiset(s: EventStructure):
-    """Multiset (sorted tuple) of canonical forms after deleting each minimal event."""
+def source_deleted_multiset(s):
+    """Multiset (sorted tuple) of pomset codes after deleting each minimal
+    event, for a structure or a memo of one."""
+    sem = Semantics.of(s)
+    s = sem.s
     if any(s.conflicts):
         raise NotAnEes("source deletion is defined for conflict-free structures")
-    return tuple(sorted(canonical_form(restrict(s, s.all_mask & ~(1 << e)))
-                        for e in s.minimal_events))
+    # without conflict, all events and a minimal one are both configurations,
+    # so what is left is their difference, which `code` accepts
+    return tuple(sorted(sem.code(s.all_mask & ~(1 << e)) for e in s.minimal_events))
 
 
 # ---------------------------------------------------------------------------
 # language fingerprints (exact invariants for trace equivalences)
 # ---------------------------------------------------------------------------
-
-_LABEL_BITS = (1 << 32) - 1
-
-
-class _LanguageTable:
-    """Trace-language ids of transition systems; equal under one table iff
-    the languages are equal.
-
-    `classes` is a `_classes` table, and `root` gives a system's states their
-    bisimulation class ids in it, keeping the signature of each new class:
-    its moves packed as `_classes` packs them, class << 32 | label id.
-    Bisimilar states have equal languages, so the language of a set of
-    classes is read from the quotient: it interns, in a table of its own,
-    the sorted language ids of the successor sets under each label, packed
-    with the label id, and is computed once per set of classes.
-    """
-
-    def __init__(self):
-        self.classes = {}
-        self._keys = []  # table id -> its key in `classes`
-        self._ids = {}  # language signature -> language id
-        self._of = {}  # sorted tuple of class ids -> language id
-
-    def root(self, lts):
-        """Class id of the root of `lts`."""
-        table = self.classes
-        root = _classes(lts, table)[0]
-        # ids count the table's entries, so the new keys are the last ones
-        new = len(table) - len(self._keys)
-        self._keys.extend(list(islice(reversed(table), new))[::-1])
-        return root
-
-    def language(self, classes):
-        """Language id of the union of the sorted tuple of class ids."""
-        got = self._of.get(classes)
-        if got is None:
-            succ = {}
-            for c in classes:
-                for move in self._keys[c]:
-                    succ.setdefault(move & _LABEL_BITS, set()).add(move >> 32)
-            sig = tuple(sorted(
-                self.language(tuple(sorted(dst))) << 32 | label for label, dst in succ.items()
-            ))
-            got = self._of[classes] = self._ids.setdefault(sig, len(self._ids))
-        return got
 
 
 def _fingerprint(s, mode, table):
@@ -182,9 +150,7 @@ def st_fingerprint(s: EventStructure, table):
     return _fingerprint(s, MODE_STEP, table)
 
 
-#: relations whose members are grouped by bisimulation class, coarse or
-#: fine; as the coarse relation, the first two get their classes while keying
-_CLASS_KEYED = (Relation.IB, Relation.SB, Relation.PB)
+#: coarse relations whose root classes are read while keying
 _ROOTS_AT_KEY = (Relation.IB, Relation.SB)
 
 
@@ -280,11 +246,11 @@ def _keyer(spec):
         key = [tuple(sorted(s.labels))]
         root = table.root(sem.lts(mode)) if mode else None
         if pomsets:
-            key.append(frozenset(sem.by_code))
+            key.append(sem.codes)
         elif fingerprint:
             key.append(table.language((root,)))
         if sdm:
-            key.append(source_deleted_multiset(s))
+            key.append(source_deleted_multiset(sem))
         return tuple(key), (root if grouped else None)
 
     return key_of
@@ -309,7 +275,7 @@ def _groups(sems, rel, roots=None):
     """Group the memos `sems` by the equivalence `rel`, in member order, by
     root class (`roots` if given, else one table for ib, sb and pb) or
     against each group's first member; return the groups and checks made."""
-    if roots is None and rel in _CLASS_KEYED:
+    if roots is None and rel in _BY_BISIM:
         # a root's class under a table shared by the members is an exact key
         table = {}
         roots = [_classes(sem.lts(_MODE_OF[rel]), table)[0] for sem in sems]

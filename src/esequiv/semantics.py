@@ -20,12 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .canon import canon_encode
 from .errors import ModeMismatch, NotAConfiguration, SizeLimit, ValidationError
 from .structure import (
     EventStructure,
     _bits,
-    _with_label_table,
+    _labelled_canon,
     canonical_form,
     restrict,
     transitive_reduction,
@@ -236,12 +235,12 @@ class Semantics:
         return got
 
     @cached_property
-    def by_code(self):
-        """pomset code -> configurations with that pomset, in configuration order."""
-        out = {}
-        for mask in self.configurations:
-            out.setdefault(self.code(mask), []).append(mask)
-        return out
+    def codes(self):
+        """The set of the configurations' pomset codes."""
+        # frozenset sizes its table once from a dict's length, but grows it
+        # fourfold at a time from an iterator, and these sets stay in every
+        # pt bucket key of a search size
+        return frozenset(dict.fromkeys(map(self.code, self.configurations)))
 
     def lts(self, mode: str) -> Lts:
         got = self._lts.get(mode)
@@ -304,15 +303,12 @@ def _canonize(key):
     conflicts = key[2] if len(key) > 2 else 0
     k = len(labels)
     row = (1 << k) - 1
-    table = list(dict.fromkeys(labels))  # the key's labels are sorted
-    rank = {label: i for i, label in enumerate(table)}
-    enc, _ = canon_encode(
-        k,
-        [rank[label] for label in labels],
+    enc, _ = _labelled_canon(
+        labels,
         [causes >> i * k & row for i in range(k)],
         [conflicts >> i * k & row for i in range(k)],
     )
-    return _with_label_table(enc, table)
+    return enc
 
 
 def build_lts(s: EventStructure | Semantics, mode: str) -> Lts:

@@ -212,18 +212,17 @@ def canonical_form(s: EventStructure) -> bytes:
 
 
 def _canon_with_perm(s: EventStructure):
-    table = sorted(set(s.labels))
+    return _labelled_canon(s.labels, s.down, s.conflicts)
+
+
+def _labelled_canon(labels, down, cf):
+    """Canonical bytes and canon's permutation of the structure given by its
+    labels and its cause and conflict rows: canon's encoding, whose label
+    ranks index the sorted label table, then that table."""
+    table = sorted(set(labels))
     rank = {lbl: i for i, lbl in enumerate(table)}
-    enc, perm = canon_encode(
-        s.n, [rank[l] for l in s.labels], list(s.down), list(s.conflicts)
-    )
-    return _with_label_table(enc, table), perm
-
-
-def _with_label_table(enc, table):
-    """Canonical bytes: canon's encoding, whose label ranks index the sorted
-    label `table`, then that table."""
-    return enc + b"|" + b"\x00".join(lbl.encode() for lbl in table)
+    enc, perm = canon_encode(len(labels), [rank[l] for l in labels], list(down), list(cf))
+    return enc + b"|" + b"\x00".join(lbl.encode() for lbl in table), perm
 
 
 def isomorphic(s: EventStructure, t: EventStructure):

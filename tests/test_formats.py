@@ -66,6 +66,10 @@ class TestRead:
             ("es v1\nfrobnicate 1 2\n", 2),
             ("es v1\nevent 0 a\ncause 0 x\n", 3),
             ("es v1\nevent 0 a\x01b\n", 2),
+            ("es v1\nevent 0 a\ncause 0 0\n", 3),
+            ("es v1\nevent 0 a\n\nconflict 0 0\n", 4),
+            ("es v1\nevent 2 a\n", 2),
+            ("es v1\nevent 0 a\nevent 3 b\nevent 1 c\nevent 4 d\n", 5),
         ],
     )
     def test_parse_errors_carry_line(self, text, line):
@@ -74,8 +78,10 @@ class TestRead:
         assert err.value.line == line
 
     def test_ids_must_be_dense(self):
-        with pytest.raises(ParseError):
-            loads_es("es v1\nevent 1 a\n")
+        # the gap is named at the first event whose id is past the count
+        with pytest.raises(ParseError, match="^line 3: event ids") as err:
+            loads_es("es v1\nevent 0 a\nevent 2 b\n")
+        assert err.value.line == 3
 
     @pytest.mark.parametrize(
         "data,line",

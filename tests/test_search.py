@@ -114,6 +114,18 @@ class TestEnumerate:
             list(enumerate_posets(-1, 1))
         assert list(enumerate_posets(0, 1)) == [EventStructure(labels=(), down=(), conflicts=())]
 
+    def test_class_bound(self, monkeypatch):
+        # above the largest level built anywhere: 198,296 two-label classes
+        # of 7 events
+        assert search.MAX_SEARCH_CLASSES > 198_296
+        # 5 one-label classes of 3 events, 16 of 4
+        monkeypatch.setattr(search, "MAX_SEARCH_CLASSES", 5)
+        assert len(list(enumerate_posets(3, 1))) == 5
+        with pytest.raises(SizeLimit, match=r"^at least 6 classes of 4 events; limit is 5$"):
+            list(enumerate_posets(4, 1))
+        with pytest.raises(SizeLimit, match="limit is 5$"):
+            find_minimal_pairs(SearchSpec(coarse=R.SB, fine=R.ISO, max_events=6))
+
 
 class TestOrderKeys:
     """Candidates are deduplicated by order key before they are canonized."""
@@ -336,7 +348,7 @@ class TestSearch:
             for s in reps:
                 sem = Semantics(s)
                 full.append((tuple(sorted(s.labels)), it_fingerprint(sem, table),
-                             st_fingerprint(sem, table), frozenset(sem.by_code)))
+                             st_fingerprint(sem, table), sem.codes))
             for coarse in R:
                 keep = (True, True, implies(coarse, R.ST), implies(coarse, R.PT))
                 old = [tuple(v for v, k in zip(key, keep) if k) for key in full]
@@ -522,19 +534,52 @@ class TestSearchOutputBytes:
         ),
     }
 
+    #: the same with the source-deleted multiset filter on; below 8 events
+    #: no one-label, two-label (to 6) or three-label (to 5) search finds a
+    #: pair with it, and both pairs found here are the known sb/whb pair
+    SDM_DIGESTS = {
+        (R.SB, R.ISO, 1, 7): (
+            "264debd2e34514750d20a0ec5746df437c0a1b558da8fe649fdccedf0ad833fb", None,
+        ),
+        (R.IT, R.ISO, 1, 8): (
+            "052a3ff9f927f91c1de0e9e806c104506ee82238592eba74992e1a0d247f3d14",
+            [
+                ("79d6cde06bb25f004394f8f4eb87d2398c15c498626af5409f9bf572e5663c9b",
+                 "e0c52bad3d262fef7cc269b309edf1c7768344a241ea790808e84354e4f9750e"),
+            ],
+        ),
+        (R.IB, R.WHB, 1, 8): (
+            "647f85a9753868def2df56a6ff5afa9cced980dde23c1f99fcab7d0c2bc90624",
+            [
+                ("79d6cde06bb25f004394f8f4eb87d2398c15c498626af5409f9bf572e5663c9b",
+                 "e0c52bad3d262fef7cc269b309edf1c7768344a241ea790808e84354e4f9750e"),
+            ],
+        ),
+    }
+
     @pytest.mark.parametrize(
         "case", list(DIGESTS), ids=lambda c: f"{c[0].value}-{c[1].value}-{c[2]}-{c[3]}"
     )
     def test_search_bytes_are_pinned(self, case):
-        coarse, fine, alphabet, max_events = case
-        spec = SearchSpec(coarse=coarse, fine=fine, max_events=max_events, alphabet=alphabet)
-        try:
-            res = find_minimal_pairs(spec)
-            certificate = res.certificate()
-            pairs = [(_sha(dumps_es(a)), _sha(dumps_es(b))) for a, b in res.pairs]
-        except NoPairFound as err:
-            certificate, pairs = err.certificate, None
-        assert (_sha(certificate), pairs) == self.DIGESTS[case]
+        assert _search_digests(*case) == self.DIGESTS[case]
+
+    @pytest.mark.parametrize(
+        "case", list(SDM_DIGESTS), ids=lambda c: f"{c[0].value}-{c[1].value}-{c[2]}-{c[3]}"
+    )
+    def test_sdm_search_bytes_are_pinned(self, case):
+        assert _search_digests(*case, sdm_filter=True) == self.SDM_DIGESTS[case]
+
+
+def _search_digests(coarse, fine, alphabet, max_events, sdm_filter=False):
+    """The sha256 of a search's certificate and of the .es text of each found
+    pair (None: no pair)."""
+    spec = SearchSpec(coarse=coarse, fine=fine, max_events=max_events, alphabet=alphabet,
+                      sdm_filter=sdm_filter)
+    try:
+        res = find_minimal_pairs(spec)
+    except NoPairFound as err:
+        return _sha(err.certificate), None
+    return _sha(res.certificate()), [(_sha(dumps_es(a)), _sha(dumps_es(b))) for a, b in res.pairs]
 
 
 def _sha(text):

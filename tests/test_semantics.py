@@ -329,28 +329,22 @@ class TestSemanticsMemo:
             for mode in (MODE_INTERLEAVING, MODE_STEP, MODE_POMSET):
                 assert sem.lts(mode) is sem.lts(mode)
                 assert sem.lts(mode) == build_lts(s, mode) == build_lts(Semantics(s), mode)
-            for code, members in sem.by_code.items():
-                assert members == [m for m in sem.configurations if m in members]
-                for m in members:
-                    assert sem.code(m) == code == pomset_code(poset_of(s, m))
+            assert isinstance(sem.codes, frozenset)
+            assert sem.codes == {pomset_code(poset_of(s, m)) for m in sem.configurations}
+            for m in sem.configurations:
+                assert sem.code(m) == pomset_code(poset_of(s, m))
 
     def test_full_matrix_canonizes_each_key_once(self, monkeypatch):
-        canonize, encode = semantics._canonize, semantics.canon_encode
-        keys, calls = [], Counter()
+        canonize, calls = semantics._canonize, Counter()
 
-        def keyed(key):
-            keys.append(key)
+        def counting(key):
+            calls[key] += 1
             return canonize(key)
-
-        def counting(*args):
-            calls[keys[-1]] += 1  # the key being canonized
-            return encode(*args)
 
         def no_restrict(s, mask):
             raise AssertionError("a pomset code built a substructure")
 
-        monkeypatch.setattr(semantics, "_canonize", keyed)
-        monkeypatch.setattr(semantics, "canon_encode", counting)
+        monkeypatch.setattr(semantics, "_canonize", counting)
         monkeypatch.setattr(semantics, "restrict", no_restrict)
         for fx in builtin_fixtures():
             monkeypatch.setattr(semantics, "_POMSET_CODES", {})  # nothing coded yet
@@ -392,7 +386,7 @@ class TestPomsetCodeTable:
             full_matrix(fx.left, fx.right)
         # equal label ranks, different labels: a;b warms the table for b;c
         for expr in ("a;b", "a||b", "a+b"):
-            Semantics(from_expr(expr)).by_code
+            Semantics(from_expr(expr)).codes
         rng = random.Random(71)
         probes = [from_expr("b;c"), from_expr("b||c"), from_expr("c;b")]
         probes += [random_structure(rng, max_events=6, alphabet=rng.randint(1, 3)) for _ in range(60)]
