@@ -29,7 +29,8 @@ bucket's members, and stays out of the bucket key.  pb builds its pomset
 systems only inside buckets of two or more members, and groups them by
 root class under one table per bucket; other coarse relations are checked
 against each group's first member.  The fine relation groups each coarse
-group of two or more members the same way (`_groups`), and a pair
+group of two or more members the same way (`_groups`, which builds a
+memo where it reads one and keeps only each group's first), and a pair
 qualifies when its members fall into different fine groups.
 """
 
@@ -68,7 +69,15 @@ def _next_level(level, letters):
     isomorphic to an earlier one, so it is skipped without being canonized;
     the first candidate of each class is still the one kept.  Raises
     `SizeLimit` as soon as the new level holds more than
-    `MAX_SEARCH_CLASSES` classes."""
+    `MAX_SEARCH_CLASSES` classes, and before building it when it must: a
+    fresh top event with letter x on class C gives a class per (C, x),
+    because deleting the unique maximum gives back C and x."""
+    least = len(letters) * len(level)
+    if least > MAX_SEARCH_CLASSES:
+        raise SizeLimit(
+            f"at least {least} classes of {level[0].n + 1} events; "
+            f"limit is {MAX_SEARCH_CLASSES}"
+        )
     reps = {}
     met = {}  # labels -> the packed cause rows met with them
     for base in level:
@@ -271,28 +280,31 @@ def _buckets(reps, spec, table):
     return {key: (members, roots or None) for key, (members, roots) in buckets.items()}
 
 
-def _groups(sems, rel, roots=None):
-    """Group the memos `sems` by the equivalence `rel`, in member order, by
-    root class (`roots` if given, else one table for ib, sb and pb) or
-    against each group's first member; return the groups and checks made."""
+def _groups(members, rel, roots=None):
+    """Group the structures `members` by the equivalence `rel`, in member
+    order, by root class (`roots` if given, else one table for ib, sb and
+    pb) or against each group's first member, whose memo alone is kept;
+    return the groups and checks made."""
     if roots is None and rel in _BY_BISIM:
         # a root's class under a table shared by the members is an exact key
         table = {}
-        roots = [_classes(sem.lts(_MODE_OF[rel]), table)[0] for sem in sems]
+        roots = [_classes(Semantics(s).lts(_MODE_OF[rel]), table)[0] for s in members]
     if roots is not None:
         by_class = {}
         for idx, root in enumerate(roots):
             by_class.setdefault(root, []).append(idx)
         return list(by_class.values()), 0
-    groups, checks = [], 0
-    for idx in range(len(sems)):
-        for group in groups:
+    groups, firsts, checks = [], [], 0
+    for idx, s in enumerate(members):
+        sem = Semantics(s)
+        for group, first in zip(groups, firsts):
             checks += 1
-            if check(rel, sems[group[0]], sems[idx]):
+            if check(rel, first, sem):
                 group.append(idx)
                 break
         else:
             groups.append([idx])
+            firsts.append(sem)
     return groups, checks
 
 
@@ -300,8 +312,7 @@ def _process_bucket(members, coarse, fine, roots=None):
     """Group one bucket by the coarse relation, in member order; return the
     groups, the number of pairs tested and the pairs of a group that the fine
     relation groups apart.  `roots` are the members' root class ids, if known."""
-    sems = [Semantics(s) for s in members]
-    groups, pairs_tested = _groups(sems, coarse, roots)
+    groups, pairs_tested = _groups(members, coarse, roots)
     found = []
     for group in groups:
         if fine is Relation.ISO:
@@ -310,7 +321,7 @@ def _process_bucket(members, coarse, fine, roots=None):
         elif len(group) > 1:
             # every pair the fine groups decide counts as tested
             pairs_tested += len(group) * (len(group) - 1) // 2
-            fine_groups, _ = _groups([sems[i] for i in group], fine)
+            fine_groups, _ = _groups([members[i] for i in group], fine)
             if len(fine_groups) > 1:  # else no pair of the group qualifies
                 part = {group[k]: p for p, ks in enumerate(fine_groups) for k in ks}
                 found.extend((i, j) for i, j in combinations(group, 2) if part[i] != part[j])
@@ -350,11 +361,10 @@ def find_minimal_pairs(spec: SearchSpec) -> SearchResult:
             st.pairs_tested += tested
             found.extend((members[i], members[j]) for i, j in pairs)
         if found:
-            # each pair, then the list, in canonical-form order
-            result_pairs = sorted(
-                (tuple(sorted((reps[i], reps[j]), key=canonical_form)) for i, j in found),
-                key=lambda p: (canonical_form(p[0]), canonical_form(p[1])),
-            )
+            # a level is in canonical-form order and each pair in member
+            # order, so sorting by index puts each pair, then the list, in
+            # canonical-form order
+            result_pairs = [(reps[i], reps[j]) for i, j in sorted(found)]
             st.found = len(result_pairs)
             return SearchResult(spec=spec, size=size, pairs=result_pairs, stats=stats)
     raise NoPairFound(spec.max_events, _certificate_text(spec, stats, None))

@@ -27,7 +27,6 @@ from .structure import (
     _labelled_canon,
     canonical_form,
     restrict,
-    transitive_reduction,
 )
 
 MODE_INTERLEAVING = "interleaving"
@@ -118,22 +117,6 @@ def poset_of(s: EventStructure, mask: int) -> EventStructure:
 def pomset_code(poset: EventStructure) -> bytes:
     """Canonical code of a labelled poset; equal iff poset-isomorphic."""
     return canonical_form(poset)
-
-
-def pomset_text(poset: EventStructure) -> str:
-    """Readable rendering of a poset's isomorphism class.
-
-    Labels in canonical vertex order, then the cover pairs between
-    canonical positions, e.g. chains render as ``a.b/0<1`` and antichains
-    as ``a.b/``.
-    """
-    from .structure import _canon_with_perm
-
-    _, perm = _canon_with_perm(poset)
-    pos = {v: i for i, v in enumerate(perm)}
-    labels = ".".join(poset.labels[v] for v in perm)
-    covers = sorted((pos[a], pos[b]) for a, b in transitive_reduction(poset))
-    return labels + "/" + ",".join(f"{a}<{b}" for a, b in covers)
 
 
 def config_text(mask: int) -> str:

@@ -11,6 +11,7 @@ witnessed by a separating pair.
 from __future__ import annotations
 
 import dataclasses
+import os
 import random
 from dataclasses import dataclass, field
 
@@ -380,6 +381,8 @@ def verify_spectrum(pairs, diagram: Diagram, include_fixtures=True, jobs=1):
     `pairs` is a list of (left_name, left, right_name, right).  Fixtures of
     the diagram's class are appended so every proper inclusion has a chance
     of being witnessed.  Violations are report content, never exceptions.
+    With `jobs` > 1 the pairs are checked by a pool of at most that many
+    worker processes and at most one per CPU.
     """
     pairs = list(pairs)
     if include_fixtures:
@@ -388,12 +391,14 @@ def verify_spectrum(pairs, diagram: Diagram, include_fixtures=True, jobs=1):
             if tag in classify(fx.left) and tag in classify(fx.right):
                 pairs.append((f"fx:{fx.name}:L", fx.left, f"fx:{fx.name}:R", fx.right))
     tasks = [(ln, l, rn, r, diagram) for ln, l, rn, r in pairs]
-    if jobs > 1:
+    # the pool starts all its workers at once, so no more than there are CPUs
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers > 1:
         # imported here: the pool pulls multiprocessing, socket and pickle
         # into every import of the package
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_check_pair, tasks, chunksize=8))
     else:
         results = [_check_pair(t) for t in tasks]

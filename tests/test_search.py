@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 import re
+import weakref
 from collections import Counter
 
 import pytest
@@ -125,6 +126,18 @@ class TestEnumerate:
             list(enumerate_posets(4, 1))
         with pytest.raises(SizeLimit, match="limit is 5$"):
             find_minimal_pairs(SearchSpec(coarse=R.SB, fine=R.ISO, max_events=6))
+
+    def test_class_bound_refuses_a_level_before_building_it(self, monkeypatch):
+        # a fresh top event on each of the 7 two-label classes of 2 events,
+        # with either letter, gives 14 distinct classes of 3 events
+        monkeypatch.setattr(search, "MAX_SEARCH_CLASSES", 13)
+        real, canonized = search.canonical_form, []
+        monkeypatch.setattr(
+            search, "canonical_form", lambda s: canonized.append(s.n) or real(s)
+        )
+        with pytest.raises(SizeLimit, match=r"^at least 14 classes of 3 events; limit is 13$"):
+            list(enumerate_posets(3, 2))
+        assert canonized and max(canonized) == 2
 
 
 class TestOrderKeys:
@@ -421,6 +434,27 @@ class TestSearch:
         except NoPairFound:
             pass
         assert set(called) == {coarse}
+
+    def test_a_bucket_keeps_one_memo_per_group(self, monkeypatch):
+        # one label: every class of 6 events has the same traces, so the
+        # it/ib search puts all 318 of them in one bucket and one it group
+        reps = list(enumerate_posets(6, 1))
+        spec = SearchSpec(coarse=R.IT, fine=R.IB, max_events=6)
+        ((indices, roots),) = _buckets(reps, spec, _LanguageTable()).values()
+        live, most = weakref.WeakSet(), []
+
+        class Tracked(Semantics):
+            def __init__(self, s):
+                most.append(len(live))  # the memos alive as this one is built
+                super().__init__(s)
+                live.add(self)
+
+        monkeypatch.setattr(search, "Semantics", Tracked)
+        groups, _, found = _process_bucket([reps[i] for i in indices], R.IT, R.IB, roots)
+        assert len(indices) == 318 and len(groups) == 1 and not found
+        assert max(most) <= len(groups) + 1
+        # every member is read by the it groups and again by the ib groups
+        assert len(most) == 2 * 318
 
     # sb/iso searches all 405 one-label classes up to 6 events; ib/iso stops
     # at a||a against a;a, after the 3 classes of sizes 1 and 2

@@ -1,8 +1,11 @@
+import concurrent.futures
 import hashlib
 import os
 import random
 import subprocess
 import sys
+
+import pytest
 
 from esequiv.equivalences import Relation, full_matrix
 from esequiv.errors import UnsatisfiableSpec
@@ -164,11 +167,44 @@ class TestVerify:
         assert r1.render() == r2.render()
         assert r1.summary_table() == r2.summary_table()
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, monkeypatch):
+        # the pool has at most one worker per CPU: claim two, so that a
+        # one-CPU runner still runs the pool
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         spec = CorpusSpec(structure_class="ees", count=12, max_events=7, seed=15)
         serial = verify_spectrum(corpus_pairs(spec), FIG_EES, jobs=1)
         parallel = verify_spectrum(corpus_pairs(spec), FIG_EES, jobs=2)
         assert serial.summary_table() == parallel.summary_table()
+
+    @pytest.mark.parametrize(
+        "cpus, jobs, workers", [(4, 1000, 4), (8, 3, 3), (1, 8, None), (None, 8, None)]
+    )
+    def test_pool_has_at_most_one_worker_per_cpu(self, cpus, jobs, workers, monkeypatch):
+        started = []
+
+        class StubPool:
+            """Records its size and runs the tasks in this process, so no
+            worker is ever started."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        spec = CorpusSpec(structure_class="ees", count=3, max_events=5, seed=15)
+        report = verify_spectrum(corpus_pairs(spec), FIG_EES, jobs=jobs)
+        # one CPU, or an unknown count, runs serially without a pool
+        assert started == ([] if workers is None else [workers])
+        assert report.render() == verify_spectrum(corpus_pairs(spec), FIG_EES).render()
 
     def test_import_leaves_the_pool_out(self):
         # the pool is imported only by a run with jobs > 1
