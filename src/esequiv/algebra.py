@@ -17,13 +17,21 @@ in conflict; ``p ; q`` additionally puts every event of p below every event
 of q.  Terms whose conflict inheritance would force a self-conflict (such
 as choice followed by sequence) do not denote a prime structure and are
 rejected.
+
+Parsing and compiling use no recursion: `parse` is one left-to-right
+operator-precedence loop over an operator stack, and `compile_term` walks
+the term with an explicit stack, so neither depth nor length of a term
+meets Python's recursion limit.  A term of more than `MAX_CANON_EVENTS`
+atoms is refused with `SizeLimit`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
-from .errors import ExprSyntaxError, NotPrime, SelfConflict
+from .canon import MAX_CANON_EVENTS
+from .errors import ExprSyntaxError, NotPrime, SelfConflict, SizeLimit
 from .structure import EventStructure, build
 
 
@@ -82,58 +90,47 @@ def _tokenize(text):
     return tokens
 
 
+#: binding strength and node of each binary operator; all are left-associative
+_OPERATORS = {"+": (0, Sum), ";": (1, Seq), "||": (2, Par)}
+
+
 def parse(text: str) -> Term:
     """Parse an algebra expression; raises ExprSyntaxError with a position."""
-    tokens = _tokenize(text)
-    pos = 0
+    nodes, ops = [], []  # finished operands; pending operators and open parentheses
+    depth = 0  # the open parentheses on `ops`
 
-    def peek():
-        return tokens[pos]
+    def fold(strength):
+        """Apply the pending operators that bind at least as tightly."""
+        while ops and ops[-1][0] >= strength:
+            right = nodes.pop()
+            nodes.append(ops.pop()[1](nodes.pop(), right))
 
-    def advance():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def parse_sum():
-        node = parse_seq()
-        while peek()[0] == "+":
-            advance()
-            node = Sum(node, parse_seq())
-        return node
-
-    def parse_seq():
-        node = parse_par()
-        while peek()[0] == ";":
-            advance()
-            node = Seq(node, parse_par())
-        return node
-
-    def parse_par():
-        node = parse_prim()
-        while peek()[0] == "||":
-            advance()
-            node = Par(node, parse_prim())
-        return node
-
-    def parse_prim():
-        tok = advance()
-        if tok[0] == "ident":
-            return Atom(tok[2])
-        if tok[0] == "(":
-            node = parse_sum()
-            closing = advance()
-            if closing[0] != ")":
-                raise ExprSyntaxError("expected ')'", closing[1])
-            return node
-        raise ExprSyntaxError(f"expected an atom or '(', got {tok[0]!r}", tok[1])
-
-    node = parse_sum()
-    tail = peek()
-    if tail[0] != "end":
-        raise ExprSyntaxError(f"trailing input {tail[0]!r}", tail[1])
-    return node
+    want_operand = True
+    for tok in _tokenize(text):
+        kind, at = tok[0], tok[1]
+        if want_operand:
+            if kind == "(":
+                ops.append((-1, None))  # binds below every operator: folds stop here
+                depth += 1
+            elif kind == "ident":
+                nodes.append(Atom(tok[2]))
+                want_operand = False
+            else:
+                raise ExprSyntaxError(f"expected an atom or '(', got {kind!r}", at)
+        elif kind in _OPERATORS:
+            fold(_OPERATORS[kind][0])
+            ops.append(_OPERATORS[kind])
+            want_operand = True
+        elif depth:
+            if kind != ")":
+                raise ExprSyntaxError("expected ')'", at)
+            fold(0)
+            ops.pop()
+            depth -= 1
+        elif kind != "end":
+            raise ExprSyntaxError(f"trailing input {kind!r}", at)
+    fold(0)
+    return nodes[0]
 
 
 def atom_count(term: Term) -> int:
@@ -143,25 +140,32 @@ def atom_count(term: Term) -> int:
 
 
 def compile_term(term: Term) -> EventStructure:
-    """Compile a term to its event structure; events numbered left to right."""
-    labels = []
-    causes = []
-    conflicts = []
-
-    def rec(node):
-        """Returns the list of event ids belonging to the node."""
-        if isinstance(node, Atom):
-            labels.append(node.label)
-            return [len(labels) - 1]
-        left = rec(node.left)
-        right = rec(node.right)
-        if isinstance(node, Seq):
-            causes.extend((a, b) for a in left for b in right)
-        elif isinstance(node, Sum):
-            conflicts.extend((a, b) for a in left for b in right)
-        return left + right
-
-    rec(term)
+    """Compile a term to its event structure; events numbered left to right,
+    so each subterm's events form one contiguous id range.  Raises
+    `SizeLimit` at the atom past `MAX_CANON_EVENTS`, before a larger term
+    lists its quadratic cause or conflict pairs."""
+    labels, causes, conflicts = [], [], []
+    # a binary node is replaced by its operator's class, then its parts, so
+    # the class is popped once both parts are numbered
+    todo, starts = [term], []  # starts: the first event id of each finished part
+    while todo:
+        item = todo.pop()
+        if isinstance(item, Atom):
+            if len(labels) == MAX_CANON_EVENTS:
+                raise SizeLimit(
+                    f"term has at least {len(labels) + 1} events; limit is {MAX_CANON_EVENTS}"
+                )
+            starts.append(len(labels))
+            labels.append(item.label)
+        elif isinstance(item, type):
+            mid = starts.pop()
+            pairs = product(range(starts[-1], mid), range(mid, len(labels)))
+            if item is Seq:
+                causes.extend(pairs)
+            elif item is Sum:
+                conflicts.extend(pairs)
+        else:
+            todo += (type(item), item.right, item.left)
     try:
         return build(len(labels), labels, causes, conflicts)
     except SelfConflict as exc:
@@ -175,14 +179,12 @@ def from_expr(text: str) -> EventStructure:
 
 def render(term: Term) -> str:
     """Expression text that parses back to an equal term (minimal parentheses)."""
-    # binding strength used to decide parenthesization
-    strength = {Sum: 0, Seq: 1, Par: 2}
+    spelling = {node: (strength, f" {op} ") for op, (strength, node) in _OPERATORS.items()}
 
     def rec(node, parent_strength):
         if isinstance(node, Atom):
             return node.label
-        op = {Sum: " + ", Seq: " ; ", Par: " || "}[type(node)]
-        mine = strength[type(node)]
+        mine, op = spelling[type(node)]
         # left-associative: right child at equal strength needs parentheses
         text = rec(node.left, mine) + op + rec(node.right, mine + 1)
         if mine < parent_strength:

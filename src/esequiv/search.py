@@ -31,7 +31,9 @@ root class under one table per bucket; other coarse relations are checked
 against each group's first member.  The fine relation groups each coarse
 group of two or more members the same way (`_groups`, which builds a
 memo where it reads one and keeps only each group's first), and a pair
-qualifies when its members fall into different fine groups.
+qualifies when its members fall into different fine groups; when the
+coarse relation implies the fine one, no pair can, and no fine group is
+formed.
 """
 
 from __future__ import annotations
@@ -321,6 +323,8 @@ def _process_bucket(members, coarse, fine, roots=None):
         elif len(group) > 1:
             # every pair the fine groups decide counts as tested
             pairs_tested += len(group) * (len(group) - 1) // 2
+            if implies(coarse, fine):  # the fine relation holds on every pair
+                continue
             fine_groups, _ = _groups([members[i] for i in group], fine)
             if len(fine_groups) > 1:  # else no pair of the group qualifies
                 part = {group[k]: p for p, ks in enumerate(fine_groups) for k in ks}

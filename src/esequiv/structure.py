@@ -14,13 +14,14 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 
-from .canon import canon_encode
+from .canon import MAX_CANON_EVENTS, canon_encode
 from .errors import (
     CausalityConflictOverlap,
     CycleInCausality,
     DanglingId,
     InvalidLabel,
     SelfConflict,
+    SizeLimit,
 )
 
 Label = str
@@ -64,11 +65,7 @@ class EventStructure:
     @cached_property
     def up(self):
         """Bitmask of strict causal successors per event."""
-        up = [0] * self.n
-        for e in range(self.n):
-            for p in _bits(self.down[e]):
-                up[p] |= 1 << e
-        return tuple(up)
+        return tuple(_transposed(self.down))
 
     @cached_property
     def minimal_events(self):
@@ -97,10 +94,14 @@ def build(count, labels, causes=(), conflicts=()) -> EventStructure:
 
     `causes` may be any acyclic generating relation (reduction or closure);
     `conflicts` may list only non-inherited pairs.  The result stores the
-    transitive closure and the inheritance closure.
+    transitive closure and the inheritance closure.  More than
+    `MAX_CANON_EVENTS` events raise `SizeLimit` before any closure, so
+    `canonical_form` is total over what `build` accepts.
     """
     if count < 0:
         raise DanglingId("event count must be non-negative")
+    if count > MAX_CANON_EVENTS:
+        raise SizeLimit(f"structure has {count} events; limit is {MAX_CANON_EVENTS}")
     label_map = labels if isinstance(labels, dict) else dict(enumerate(labels))
     for e in label_map:
         if not 0 <= e < count:
@@ -117,17 +118,12 @@ def build(count, labels, causes=(), conflicts=()) -> EventStructure:
         if a == b:
             raise CycleInCausality(f"event {a} causes itself")
         down[b] |= 1 << a
-    # transitive closure over the strict order
-    changed = True
-    while changed:
-        changed = False
+    # transitive closure over the strict order: one Warshall sweep
+    for k in range(count):
+        bit, below = 1 << k, down[k]
         for e in range(count):
-            acc = down[e]
-            for p in _bits(down[e]):
-                acc |= down[p]
-            if acc != down[e]:
-                down[e] = acc
-                changed = True
+            if down[e] & bit:
+                down[e] |= below
     for e in range(count):
         if (down[e] >> e) & 1:
             raise CycleInCausality(f"causality cycle through event {e}")
@@ -145,9 +141,10 @@ def build(count, labels, causes=(), conflicts=()) -> EventStructure:
             )
         base.append((a, b))
     # inheritance closure: a # b propagates to all causal successors of both
+    up = _transposed(down) if base else ()  # no up rows without a pair to use them
     for a, b in base:
-        amask = (1 << a) | _up_closure(down, count, a)
-        bmask = (1 << b) | _up_closure(down, count, b)
+        amask = (1 << a) | up[a]
+        bmask = (1 << b) | up[b]
         for x in _bits(amask):
             cf[x] |= bmask
         for y in _bits(bmask):
@@ -174,12 +171,13 @@ def _label(value) -> Label:
     return sys.intern(label)
 
 
-def _up_closure(down, count, e):
-    mask = 0
-    for x in range(count):
-        if (down[x] >> e) & 1:
-            mask |= 1 << x
-    return mask
+def _transposed(rows):
+    """The rows of the converse relation: bit e of out[p] iff bit p of rows[e]."""
+    out = [0] * len(rows)
+    for e, row in enumerate(rows):
+        for p in _bits(row):
+            out[p] |= 1 << e
+    return out
 
 
 def concurrency(s: EventStructure):
@@ -248,28 +246,21 @@ def transitive_reduction(s: EventStructure):
 
 
 def minimal_conflict_pairs(s: EventStructure):
-    """The unique minimal generating set of the conflict relation.
+    """The unique minimal generating set of the conflict relation, sorted.
 
-    A pair is kept iff no other conflict pair sits (causally) below it in
-    both components; inheritance closure of the kept pairs recovers the
-    full relation.
+    A pair a # b with a < b is kept iff no other conflict pair sits
+    (causally) at or below it in both components: a conflicts with no
+    cause of b, and no cause of a conflicts with b or a cause of b.
+    Inheritance closure of the kept pairs recovers the full relation.
     """
-    pairs = sorted(s.conflict_pairs())
     keep = []
-    for a, b in pairs:
-        dea = s.down[a] | (1 << a)
-        deb = s.down[b] | (1 << b)
-        redundant = False
-        for x, y in pairs:
-            if (x, y) == (a, b):
-                continue
-            if ((dea >> x) & 1 and (deb >> y) & 1) or (
-                (dea >> y) & 1 and (deb >> x) & 1
+    for a in range(s.n):
+        for b in _bits(s.conflicts[a] >> (a + 1) << (a + 1)):
+            at_or_below_b = s.down[b] | (1 << b)
+            if not s.conflicts[a] & s.down[b] and not any(
+                s.conflicts[x] & at_or_below_b for x in _bits(s.down[a])
             ):
-                redundant = True
-                break
-        if not redundant:
-            keep.append((a, b))
+                keep.append((a, b))
     return keep
 
 

@@ -31,6 +31,28 @@ def concurrent(s, a, b):
     return a != b and not ordered(s, a, b) and not ordered(s, b, a) and not in_conflict(s, a, b)
 
 
+def o_minimal_conflicts(s):
+    """Sorted conflict pairs (a, b), a < b, such that no other conflict pair
+    {x, y} has x at or below a and y at or below b, in either order."""
+    pairs = [(a, b) for a in range(s.n) for b in range(a + 1, s.n) if in_conflict(s, a, b)]
+
+    def at_or_below(e):
+        return below(s, e) | {e}
+
+    return [
+        (a, b)
+        for a, b in pairs
+        if not any(
+            (x, y) != (a, b)
+            and (
+                (x in at_or_below(a) and y in at_or_below(b))
+                or (y in at_or_below(a) and x in at_or_below(b))
+            )
+            for x, y in pairs
+        )
+    ]
+
+
 def o_configs(s):
     out = set()
     for r in range(s.n + 1):

@@ -12,7 +12,7 @@ from esequiv.algebra import (
     parse,
     render,
 )
-from esequiv.errors import ExprSyntaxError, NotPrime
+from esequiv.errors import ExprSyntaxError, NotPrime, SizeLimit
 from esequiv.structure import isomorphic, relabel
 
 
@@ -42,6 +42,30 @@ class TestParse:
     def test_whitespace(self):
         assert parse("  a ;\tb ") == Seq(Atom("a"), Atom("b"))
 
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("", "expected an atom or '(', got 'end'", 0),
+            (")", "expected an atom or '(', got ')'", 0),
+            ("a +", "expected an atom or '(', got 'end'", 3),
+            ("a b", "trailing input 'ident'", 2),
+            ("a)", "trailing input ')'", 1),
+            ("(a", "expected ')'", 2),
+            ("(a b)", "expected ')'", 3),
+            ("a | b", "single '|' (expected '||')", 2),
+            ("a$", "unexpected character '$'", 1),
+        ],
+    )
+    def test_error_text_is_pinned(self, text, message, position):
+        # one input per error branch of the parser and the tokenizer
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(text)
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
+
+    def test_deep_parentheses(self):
+        assert parse("(" * 2000 + "a;b" + ")" * 2000) == Seq(Atom("a"), Atom("b"))
+
     def test_errors_carry_position(self):
         with pytest.raises(ExprSyntaxError) as err:
             parse("a + ")
@@ -66,6 +90,11 @@ class TestCompile:
 
     def test_seq_vs_par_differ(self):
         assert not isomorphic(from_expr("a;a"), from_expr("a||a"))[0]
+
+    def test_atom_past_the_event_bound_is_refused(self):
+        assert from_expr("||".join(["a"] * 255)).n == 255
+        with pytest.raises(SizeLimit, match="^term has at least 256 events; limit is 255$"):
+            from_expr(";".join(["a"] * 5000))
 
     def test_events_numbered_left_to_right(self):
         s = from_expr("a;(b||c)")

@@ -10,7 +10,13 @@ from esequiv.algebra import from_expr
 from esequiv.errors import SizeLimit
 from esequiv.search import _poset_levels, enumerate_posets
 from esequiv.spectrum import CorpusSpec, builtin_fixtures, corpus_pairs
-from esequiv.structure import _canon_with_perm, build, canonical_form, isomorphic
+from esequiv.structure import (
+    EventStructure,
+    _canon_with_perm,
+    build,
+    canonical_form,
+    isomorphic,
+)
 
 
 def _shuffled(s, rng):
@@ -73,8 +79,12 @@ def test_four_event_single_label_classes():
 
 
 def test_event_bound_is_a_size_limit():
+    # canon's own check, on a structure `build` would refuse
+    antichain = EventStructure(labels=("a",) * 256, down=(0,) * 256, conflicts=(0,) * 256)
     with pytest.raises(SizeLimit, match="at most 255 events"):
-        canonical_form(build(256, ["a"] * 256))
+        canonical_form(antichain)
+    with pytest.raises(SizeLimit, match="^structure has 256 events; limit is 255$"):
+        build(256, ["a"] * 256)
 
 
 def test_antichain_twins_individualized_at_once(monkeypatch):

@@ -37,7 +37,7 @@ class TestCheck:
     def test_too_many_events_for_iso_exits_two(self, capsys):
         wide = "||".join(["a"] * 256)
         assert run(["check", "iso", "--expr", wide, "--expr", wide]) == 2
-        assert "error: canonical encoding supports at most 255 events" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: term has at least 256 events; limit is 255\n"
 
     @pytest.mark.parametrize("first_file, side", [(True, "left"), (False, "right")])
     def test_inputs_keep_their_order(self, tmp_path, capsys, first_file, side):
@@ -114,6 +114,40 @@ class TestStructureCommands:
             lines = [f"{CONFIGS[a]} --{lab}--> {CONFIGS[b]}" for a, lab, b in LTS_MOVES[mode]]
             head = f"mode: {LTS_MODE_NAMES[mode]}\nstates: 6\ntransitions: {len(lines)}\n"
             assert got == head + "\n".join(lines) + "\n"
+
+
+#: terms past Python's recursion limit: a chain and a sum over the event
+#: bound, and deep parentheses around a small term
+LONG_TERMS = {
+    "chain": ";".join(["a"] * 1000),
+    "sum": "+".join(["a"] * 1000),
+    "nested": "(" * 300 + "a;b" + ")" * 300,
+}
+STRUCTURE_COMMANDS = {
+    "validate": ["validate"],
+    "show": ["show"],
+    "show-dot": ["show", "--dot"],
+    "lts": ["lts", "--mode", "i"],
+    "check-it": ["check", "it"],
+    "check-iso": ["check", "iso"],
+    "matrix": ["matrix"],
+}
+
+
+class TestLongTerms:
+    @pytest.mark.parametrize("term", sorted(LONG_TERMS))
+    @pytest.mark.parametrize("command", sorted(STRUCTURE_COMMANDS))
+    def test_exit_without_traceback(self, capsys, command, term):
+        argv = STRUCTURE_COMMANDS[command]
+        inputs = ["--expr", LONG_TERMS[term]] * (2 if argv[0] in ("check", "matrix") else 1)
+        rc = run(argv + inputs)
+        out, err = capsys.readouterr()
+        assert "Traceback" not in out + err
+        if term == "nested":
+            assert rc == 0
+        else:
+            assert rc == 2
+            assert err == "error: term has at least 256 events; limit is 255\n"
 
 
 CONFIGS = ("{}", "{e0}", "{e1}", "{e2}", "{e0,e1}", "{e2,e3}")

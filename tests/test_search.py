@@ -435,6 +435,23 @@ class TestSearch:
             pass
         assert set(called) == {coarse}
 
+    def test_implied_fine_relation_makes_no_check(self, monkeypatch):
+        # st implies it, so no pair of an st group can qualify: the it pass is
+        # skipped, while the pairs it would decide still count as tested
+        real, called = search.check, Counter()
+
+        def counting(rel, *args, **kwargs):
+            called[rel] += 1
+            return real(rel, *args, **kwargs)
+
+        monkeypatch.setattr(search, "check", counting)
+        with pytest.raises(NoPairFound) as err:
+            find_minimal_pairs(SearchSpec(coarse=R.ST, fine=R.IT, max_events=6))
+        assert called == Counter({R.ST: 107})  # and 107 it checks before the skip
+        assert _sha(err.value.certificate) == (
+            "3a039228d554352756cb4b98b1251c75b943068141321d7ef770e6dc9cdf19d2"
+        )
+
     def test_a_bucket_keeps_one_memo_per_group(self, monkeypatch):
         # one label: every class of 6 events has the same traces, so the
         # it/ib search puts all 318 of them in one bucket and one it group

@@ -21,9 +21,11 @@ from esequiv.structure import (
     transitive_reduction,
 )
 from esequiv.algebra import from_expr
+from esequiv.formats import dumps_es, loads_es
+from esequiv.spectrum import CorpusSpec, corpus_pairs
 
 from conftest import ODD_LABELS, random_structure
-from oracles import o_iso
+from oracles import o_iso, o_minimal_conflicts
 
 
 class TestBuild:
@@ -103,6 +105,28 @@ class TestDerived:
 
     def test_minimal_conflicts_example(self, ex22):
         assert minimal_conflict_pairs(ex22) == [(0, 2), (1, 2)]
+
+    def test_minimal_conflicts_match_the_oracle(self):
+        # seeded structures with conflict, and algebra sums and choices; the
+        # written text reads back to the same structure
+        inputs = [
+            s
+            for cls in ("pes", "cs")
+            for _, left, _, right in corpus_pairs(CorpusSpec(cls, 60, 7, alphabet=2, seed=4))
+            for s in (left, right)
+        ]
+        inputs += [from_expr("+".join(["a"] * k)) for k in range(1, 13)]
+        inputs += [
+            from_expr(text)
+            for text in (
+                "(a||b) + (a;b)", "a;(b+c)", "(a;b;c) + (a;(b||c))", "(a+b)||(c+d)",
+                "a;((b;c)+(d||e)+f)", "(a;(b+c)) + (a;b)", "((a||c);d) + (a+b)",
+            )
+        ]
+        assert sum(1 for s in inputs if any(s.conflicts)) > 100
+        for s in inputs:
+            assert minimal_conflict_pairs(s) == o_minimal_conflicts(s)
+            assert loads_es(dumps_es(s)) == s
 
 
 class TestIsomorphism:
