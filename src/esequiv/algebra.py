@@ -18,10 +18,10 @@ of q.  Terms whose conflict inheritance would force a self-conflict (such
 as choice followed by sequence) do not denote a prime structure and are
 rejected.
 
-Parsing and compiling use no recursion: `parse` is one left-to-right
-operator-precedence loop over an operator stack, and `compile_term` walks
-the term with an explicit stack, so neither depth nor length of a term
-meets Python's recursion limit.  A term of more than `MAX_CANON_EVENTS`
+Nothing here recurses: `parse` is one left-to-right operator-precedence
+loop over an operator stack, and `compile_term`, `render`, `atom_count` and
+the terms' `==`, `hash` and `repr` walk the term with an explicit stack, so
+neither depth nor length of a term meets Python's recursion limit.  A term of more than `MAX_CANON_EVENTS`
 atoms is refused with `SizeLimit`.
 """
 
@@ -35,25 +35,78 @@ from .errors import ExprSyntaxError, NotPrime, SelfConflict, SizeLimit
 from .structure import EventStructure, build
 
 
-@dataclass(frozen=True)
-class Atom:
+class _Node:
+    """`==`, `hash` and `repr` of the term classes, each one walk over an
+    explicit stack, so they meet no recursion limit on a long or deep term.
+    Terms are equal iff they are of one class with equal fields, as
+    `dataclass` makes them, a term's hash is made from its parts' hashes,
+    and its text is the one `dataclass` writes, such as
+    ``Par(left=Atom(label='a'), right=Atom(label='b'))``."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b):
+                return False
+            if type(a) is Atom:
+                if a.label != b.label:
+                    return False
+            else:
+                todo += ((a.right, b.right), (a.left, b.left))
+        return True
+
+    def __hash__(self):
+        hashes, todo = [], [self]
+        while todo:
+            node = todo.pop()
+            if node is None:  # both parts of a binary node are hashed
+                right = hashes.pop()
+                hashes.append(hash((hashes.pop(), right)))
+            elif type(node) is Atom:
+                hashes.append(hash((node.label,)))
+            else:
+                todo += (None, node.right, node.left)
+        return hashes[0]
+
+    def __repr__(self):
+        out, todo = [], [self]
+        while todo:
+            node = todo.pop()
+            if type(node) is str:
+                out.append(node)
+            elif type(node) is Atom:
+                out.append(f"Atom(label={node.label!r})")
+            else:
+                todo += (")", node.right, ", right=", node.left, f"{type(node).__name__}(left=")
+        return "".join(out)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Atom(_Node):
     label: str
 
 
-@dataclass(frozen=True)
-class Par:
+@dataclass(frozen=True, eq=False, repr=False)
+class Par(_Node):
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
-class Seq:
+@dataclass(frozen=True, eq=False, repr=False)
+class Seq(_Node):
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
-class Sum:
+@dataclass(frozen=True, eq=False, repr=False)
+class Sum(_Node):
     left: "Term"
     right: "Term"
 
@@ -134,9 +187,14 @@ def parse(text: str) -> Term:
 
 
 def atom_count(term: Term) -> int:
-    if isinstance(term, Atom):
-        return 1
-    return atom_count(term.left) + atom_count(term.right)
+    count, todo = 0, [term]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Atom):
+            count += 1
+        else:
+            todo += (node.right, node.left)
+    return count
 
 
 def compile_term(term: Term) -> EventStructure:
@@ -180,15 +238,20 @@ def from_expr(text: str) -> EventStructure:
 def render(term: Term) -> str:
     """Expression text that parses back to an equal term (minimal parentheses)."""
     spelling = {node: (strength, f" {op} ") for op, (strength, node) in _OPERATORS.items()}
-
-    def rec(node, parent_strength):
+    out, todo = [], [(term, 0)]  # text, or a node and the strength of its parent
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, parent_strength = item
         if isinstance(node, Atom):
-            return node.label
+            out.append(node.label)
+            continue
         mine, op = spelling[type(node)]
         # left-associative: right child at equal strength needs parentheses
-        text = rec(node.left, mine) + op + rec(node.right, mine + 1)
-        if mine < parent_strength:
-            return "(" + text + ")"
-        return text
-
-    return rec(term, 0)
+        wrap = mine < parent_strength
+        todo += (")" if wrap else "", (node.right, mine + 1), op, (node.left, mine))
+        if wrap:
+            out.append("(")
+    return "".join(out)

@@ -21,7 +21,20 @@ from functools import cached_property
 from itertools import islice
 
 from .errors import ModeMismatch, SizeLimit, SpectrumViolation
-from .semantics import MODE_INTERLEAVING, MODE_POMSET, MODE_STEP, Lts, Semantics
+from .semantics import (
+    MAX_CONFIGURATIONS,
+    MAX_LTS_EVENTS,
+    MAX_TRANSITIONS,
+    MODE_INTERLEAVING,
+    MODE_POMSET,
+    MODE_STEP,
+    Lts,
+    Semantics,
+    _concurrent_groups,
+    _enabled,
+    _event_rows,
+    _order_key,
+)
 from .structure import EventStructure, _bits, isomorphic
 
 #: the most history-preserving triples one pair may have
@@ -184,40 +197,45 @@ def _classes(lts: Lts, table, tags=None):
     """Bisimulation class id of every state of `lts`, in state order, by one
     bottom-up pass (the well-founded case of Dovier, Piazza & Policriti, TCS
     2004): states are sorted by size, so reversed order takes successors
-    first.  Labels are interned in `table` in state order; a state's id then
-    interns its sorted moves packed as successor id << 32 | label id (label
-    ids count table entries, so stay below 2**32), so states of all systems
-    sharing a table get equal ids iff bisimilar.  With `tags`, a state's
-    signature also holds `tags[v]`: equal ids mean bisimilar through states
-    of equal tags."""
+    first.  Labels are interned in `table` in state order, and each state's
+    class by `_class_id`, so states of all systems sharing a table get equal
+    ids iff bisimilar.  With `tags`, a state's signature also holds
+    `tags[v]`: equal ids mean bisimilar through states of equal tags."""
     succ = [
         [(table.setdefault(label, len(table)), j) for label, j in moves]
         for moves in lts.successors
     ]
     cls = [None] * len(succ)
     for v in reversed(range(len(succ))):
-        sig = tuple(sorted({cls[w] << 32 | lab for lab, w in succ[v]}))
-        if tags is not None:
-            sig = (tags[v], sig)
-        cls[v] = table.setdefault(sig, len(table))
+        cls[v] = _class_id(table, succ[v], cls, None if tags is None else tags[v])
     return cls
 
 
-#: the bits of the label id in a move packed as `_classes` packs it
+def _class_id(table, moves, cls, tag=None):
+    """Intern in `table` the class whose moves are the (label id, successor)
+    pairs `moves`, `cls` giving each successor's class id, and return its
+    id.  Its signature is the sorted set of the moves packed as successor
+    class << 32 | label id (label ids count table entries, so stay below
+    2**32), preceded by `tag` if given."""
+    sig = tuple(sorted({cls[w] << 32 | lab for lab, w in moves}))
+    return table.setdefault(sig if tag is None else (tag, sig), len(table))
+
+
+#: the bits of the label id in a move packed as `_class_id` packs it
 _LABEL_BITS = (1 << 32) - 1
 
 
 class _LanguageTable:
-    """Trace-language ids of transition systems; equal under one table iff
-    the languages are equal.
+    """Bisimulation classes and trace-language ids of interleaving and step
+    systems; equal language ids under one table iff the languages are equal.
 
-    `classes` is a `_classes` table, and `root` gives a system's states their
-    bisimulation class ids in it, keeping the signature of each new class:
-    its moves packed as `_classes` packs them, class << 32 | label id.
-    Bisimilar states have equal languages, so the language of a set of
-    classes is read from the quotient: it interns, in a table of its own,
-    the sorted language ids of the successor sets under each label, packed
-    with the label id, and is computed once per set of classes.
+    `classes` is a `_classes` table, and `root` gives a structure's root its
+    class id in it, keeping the signature of each new class: its moves
+    packed by `_class_id`, class << 32 | label id.  Bisimilar states have
+    equal languages, so the language of a set of classes is read from the
+    quotient: it interns, in a table of its own, the sorted language ids of
+    the successor sets under each label, packed with the label id, and is
+    computed once per set of classes.
     """
 
     def __init__(self):
@@ -225,15 +243,83 @@ class _LanguageTable:
         self._keys = []  # table id -> its key in `classes`
         self._ids = {}  # language signature -> language id
         self._of = {}  # sorted tuple of class ids -> language id
+        self._residuals = {}  # mode -> labels -> packed rows -> class id
 
-    def root(self, lts):
-        """Class id of the root of `lts`."""
+    def root(self, s: EventStructure, mode):
+        """Class id of the root of `s`'s system in the interleaving or step
+        mode, by a bottom-up class pass from the root that builds no system.
+
+        The future of a configuration C is the system of its residual, the
+        events outside C and outside C's conflicts.  So each state but the
+        root is first looked up by its residual's `_order_key` in the
+        table's map for the mode, nested as labels -> packed rows -> class
+        id: equal keys mean isomorphic residuals, so bisimilar states.  Only
+        a miss is expanded, its moves labelled as `build_lts` labels them
+        and interned by `_class_id`, so ids are equal iff the states are
+        bisimilar.  Raises `SizeLimit` past `MAX_LTS_EVENTS` events, past
+        `MAX_CONFIGURATIONS` expanded states or past `MAX_TRANSITIONS`
+        moves, and lists no more step groups than the moves left allow.
+        """
+        if mode not in (MODE_INTERLEAVING, MODE_STEP):
+            raise ModeMismatch(f"no residual class pass in mode {mode!r}")
+        if s.n > MAX_LTS_EVENTS:
+            raise SizeLimit(f"structure has {s.n} events; limit is {MAX_LTS_EVENTS}")
         table = self.classes
-        root = _classes(lts, table)[0]
-        # ids count the table's entries, so the new keys are the last ones
-        new = len(table) - len(self._keys)
-        self._keys.extend(list(islice(reversed(table), new))[::-1])
-        return root
+        known = self._residuals.setdefault(mode, {})
+        step = mode == MODE_STEP
+        labels, conflicts, full = s.labels, s.conflicts, s.all_mask
+        rows = _event_rows(s)
+        label_ids = {}  # group mask -> its label id
+        seen = {}  # residual mask -> class id, within this structure
+        expanded = count = 0
+
+        def class_of(mask, blocked):
+            # blocked: the events of mask and of its conflicts
+            nonlocal expanded, count
+            expanded += 1
+            if expanded > MAX_CONFIGURATIONS:
+                raise SizeLimit(
+                    f"at least {expanded} configurations to expand; "
+                    f"limit is {MAX_CONFIGURATIONS}"
+                )
+            events = _enabled(rows, mask)
+            if step:
+                groups = _concurrent_groups(conflicts, events, MAX_TRANSITIONS - count)
+            else:
+                groups = [1 << e for e in events]
+            count += len(groups)
+            if count > MAX_TRANSITIONS:
+                raise SizeLimit(f"at least {count} {mode} transitions; limit is {MAX_TRANSITIONS}")
+            moves = []
+            for group in groups:
+                label = label_ids.get(group)
+                if label is None:
+                    if step:
+                        name = tuple(sorted([labels[e] for e in _bits(group)]))
+                    else:
+                        name = labels[group.bit_length() - 1]
+                    label = label_ids[group] = table.setdefault(name, len(table))
+                clash = blocked | group
+                for e in _bits(group):
+                    clash |= conflicts[e]
+                residual = full & ~clash
+                if residual not in seen:
+                    key = _order_key(s, residual)
+                    rows_of = known.setdefault(key[0], {})
+                    packed = key[1] if len(key) == 2 else key[1:]
+                    c = rows_of.get(packed)
+                    if c is None:
+                        c = rows_of[packed] = class_of(mask | group, clash)
+                    seen[residual] = c
+                moves.append((label, residual))
+            return _class_id(table, moves, seen)
+
+        try:
+            return class_of(0, 0)
+        finally:
+            # ids count the table's entries, so the new keys are the last ones
+            new = len(table) - len(self._keys)
+            self._keys.extend(list(islice(reversed(table), new))[::-1])
 
     def language(self, classes):
         """Language id of the union of the sorted tuple of class ids."""

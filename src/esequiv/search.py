@@ -19,21 +19,24 @@ Buckets of cheap language invariants cut the quadratic pair testing; a
 bucket key holds only the finest trace invariant the chosen coarse
 relation implies, so bucketing never loses a qualifying pair.
 
-Each class representative gets one `Semantics` memo while it is keyed, so
-its transition system is built once, and one class pass over it in the
-fingerprint's mode gives every state its bisimulation class under one
-table per size.  The trace fingerprint is the language of the root's
-class, read from those classes (bisimilar states have equal languages);
-with ib or sb as the coarse relation the root's class itself groups a
-bucket's members, and stays out of the bucket key.  pb builds its pomset
-systems only inside buckets of two or more members, and groups them by
-root class under one table per bucket; other coarse relations are checked
-against each group's first member.  The fine relation groups each coarse
-group of two or more members the same way (`_groups`, which builds a
-memo where it reads one and keeps only each group's first), and a pair
-qualifies when its members fall into different fine groups; when the
-coarse relation implies the fine one, no pair can, and no fine group is
-formed.
+Keying builds no transition system.  Each class representative's root
+gets its bisimulation class in the fingerprint's mode from
+`_LanguageTable.root`, a class pass that reads the future of each
+configuration off its residual structure, the events outside it and its
+conflicts: residuals are small posets that repeat across the classes of a
+size, so each is expanded once per size under one table.  The trace
+fingerprint is the language of the root's class, read from those classes
+(bisimilar states have equal languages); with ib or sb as the coarse
+relation the root's class itself groups a bucket's members, and stays out
+of the bucket key.  pb builds its pomset systems only inside buckets of
+two or more members, and groups them by root class under one table per
+bucket; other coarse relations are checked against each group's first
+member.  The fine relation groups each coarse group of two or more members
+the same way (`_groups`, which builds a memo where it reads one and keeps
+only each group's first; ib and sb groups come from root classes under one
+table per group and build none), and a pair qualifies when its members
+fall into different fine groups; when the coarse relation implies the fine
+one, no pair can, and no fine group is formed.
 """
 
 from __future__ import annotations
@@ -146,7 +149,7 @@ def source_deleted_multiset(s):
 
 
 def _fingerprint(s, mode, table):
-    return table.language((table.root(Semantics.of(s).lts(mode)),))
+    return table.language((table.root(Semantics.of(s).s, mode),))
 
 
 def it_fingerprint(s: EventStructure, table):
@@ -255,7 +258,7 @@ def _keyer(spec):
     def key_of(sem, table):
         s = sem.s
         key = [tuple(sorted(s.labels))]
-        root = table.root(sem.lts(mode)) if mode else None
+        root = table.root(s, mode) if mode else None
         if pomsets:
             key.append(sem.codes)
         elif fingerprint:
@@ -270,7 +273,7 @@ def _keyer(spec):
 def _buckets(reps, spec, table):
     """Bucket key -> (member indices, their root class ids or None), in
     member order.  A member's key and, for ib and sb, its root class come
-    from one memo and one class pass, under the `_LanguageTable` `table`."""
+    from one memo and one `_LanguageTable.root` pass under `table`."""
     key_of = _keyer(spec)
     buckets = {}
     for idx, s in enumerate(reps):
@@ -285,12 +288,18 @@ def _buckets(reps, spec, table):
 def _groups(members, rel, roots=None):
     """Group the structures `members` by the equivalence `rel`, in member
     order, by root class (`roots` if given, else one table for ib, sb and
-    pb) or against each group's first member, whose memo alone is kept;
-    return the groups and checks made."""
+    pb, whose ib and sb classes are read off residuals with no memo) or
+    against each group's first member, whose memo alone is kept; return the
+    groups and checks made."""
     if roots is None and rel in _BY_BISIM:
         # a root's class under a table shared by the members is an exact key
-        table = {}
-        roots = [_classes(Semantics(s).lts(_MODE_OF[rel]), table)[0] for s in members]
+        mode = _MODE_OF[rel]
+        if rel is Relation.PB:
+            table = {}
+            roots = [_classes(Semantics(s).lts(mode), table)[0] for s in members]
+        else:
+            table = _LanguageTable()
+            roots = [table.root(s, mode) for s in members]
     if roots is not None:
         by_class = {}
         for idx, root in enumerate(roots):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 from .errors import ModeMismatch, NotAConfiguration, SizeLimit, ValidationError
 from .structure import (
@@ -314,7 +315,7 @@ def build_lts(s: EventStructure | Semantics, mode: str) -> Lts:
         if mode == MODE_INTERLEAVING:
             targets = enabled[mask]
         elif mode == MODE_STEP:
-            targets = _concurrent_groups(s.conflicts, enabled[mask])
+            targets = _concurrent_groups(s.conflicts, enabled[mask], MAX_TRANSITIONS - count)
         else:  # every strictly larger configuration; they come later in size order
             targets = [j for j in range(i + 1, len(states)) if states[j] & mask == mask]
         # counted before any move is labelled: a pomset label is a canonization
@@ -336,15 +337,24 @@ def build_lts(s: EventStructure | Semantics, mode: str) -> Lts:
     return Lts(mode, states, tuple(successors))
 
 
-def _concurrent_groups(conflicts, events):
+def _concurrent_groups(conflicts, events, room):
     """Non-empty conflict-free subsets of the ascending `events`, as ascending
     bitmasks.  Each event extends only the groups kept so far that it has no
     conflict with, so the work follows the number of groups, not of submasks;
-    the groups with a new top event come after every group without it."""
+    the groups with a new top event come after every group without it.
+    The list never grows more than one past `room`, so a caller counting
+    moves against a budget sees it overrun before it lists them all."""
     groups = [0]
+    few = 1 << len(events) <= room + 1  # then every subset fits in the room
     for e in events:
         bit = 1 << e
-        groups += [g | bit for g in groups if not conflicts[e] & g]
+        if few:
+            groups += [g | bit for g in groups if not conflicts[e] & g]
+            continue
+        grown = (g | bit for g in groups if not conflicts[e] & g)
+        groups += list(islice(grown, room + 2 - len(groups)))
+        if len(groups) > room + 1:
+            break
     return groups[1:]
 
 

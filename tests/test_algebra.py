@@ -66,6 +66,26 @@ class TestParse:
     def test_deep_parentheses(self):
         assert parse("(" * 2000 + "a;b" + ")" * 2000) == Seq(Atom("a"), Atom("b"))
 
+    @pytest.mark.parametrize("op, node", [(";", Seq), ("||", Par), ("+", Sum)])
+    def test_long_terms_need_no_recursion(self, op, node):
+        term = parse(op.join(["a"] * 1000))
+        again = parse(op.join(["a"] * 1000))
+        assert term == again and hash(term) == hash(again)
+        assert term != parse(op.join(["a"] * 999 + ["b"]))
+        assert atom_count(term) == 1000
+        assert repr(term).startswith(f"{node.__name__}(left={node.__name__}(left=")
+        assert parse(render(term)) == term
+
+    def test_small_terms_keep_the_dataclass_text(self):
+        assert repr(parse("a || b;c")) == (
+            "Seq(left=Par(left=Atom(label='a'), right=Atom(label='b')), "
+            "right=Atom(label='c'))"
+        )
+        assert repr(Atom("x_1")) == "Atom(label='x_1')"
+        assert Atom("a") != Par(Atom("a"), Atom("a")) and Par(Atom("a"), Atom("b")) != Seq(
+            Atom("a"), Atom("b")
+        )
+
     def test_errors_carry_position(self):
         with pytest.raises(ExprSyntaxError) as err:
             parse("a + ")

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 import re
+import time
 import weakref
 from collections import Counter
 
@@ -9,8 +10,8 @@ import pytest
 
 from esequiv.algebra import from_expr
 from esequiv.equivalences import _MODE_OF, Relation, _classes, bisim, check, implies, trace_equiv
-from esequiv import search, semantics
-from esequiv.errors import NoPairFound, NotAnEes, SizeLimit
+from esequiv import equivalences, search, semantics
+from esequiv.errors import ModeMismatch, NoPairFound, NotAnEes, SizeLimit
 from esequiv.formats import dumps_es
 from esequiv.search import (
     SearchSpec,
@@ -26,10 +27,11 @@ from esequiv.search import (
     source_deleted_multiset,
     st_fingerprint,
 )
-from esequiv.semantics import Semantics, _order_key, build_lts
+from esequiv.semantics import Semantics, _order_key, build_lts, trace_language
+from esequiv.spectrum import CorpusSpec, corpus_pairs
 from esequiv.structure import EventStructure, build, canonical_form, isomorphic
 
-from oracles import o_step_traces, o_traces
+from oracles import o_configs, o_ib, o_sb, o_step_traces, o_traces
 
 R = Relation
 
@@ -258,6 +260,83 @@ class TestFingerprints:
         assert len(want) < len(structures)
 
 
+def _oracle_partition(structures, same, language):
+    """The classes of `same`, an equivalence that implies equal `language`,
+    as `_partition` gives them: each structure is compared with the first
+    member of every class of its language.  Structures are taken by their
+    number of configurations, so each class's first member is its
+    smallest, and the naive oracle compares the fewest pairs of states."""
+    classes = []  # (language, member indices)
+    for idx in sorted(range(len(structures)), key=lambda i: len(o_configs(structures[i]))):
+        s = structures[idx]
+        key = frozenset(language(s))
+        for lang, members in classes:
+            if lang == key and same(structures[members[0]], s):
+                members.append(idx)
+                break
+        else:
+            classes.append((key, [idx]))
+    return {frozenset(members) for _, members in classes}
+
+
+class TestResidualRoots:
+    """`_LanguageTable.root` reads each class off the residual structures
+    and builds no system; its ids must partition structures as the class
+    pass over the built systems does."""
+
+    @pytest.mark.parametrize("mode", ["interleaving", "step"])
+    @pytest.mark.parametrize("structure_class", ["pes", "cs", "ees"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_roots_and_languages_equal_the_built_systems(self, seed, structure_class, mode):
+        spec = CorpusSpec(structure_class, 60, 6, alphabet=2, seed=seed)
+        structures = [s for _, a, _, b in corpus_pairs(spec) for s in (a, b)]
+        table, shared = _LanguageTable(), {}
+        roots = [table.root(s, mode) for s in structures]
+        systems = [build_lts(s, mode) for s in structures]
+        assert _partition(roots) == _partition(_classes(lts, shared)[0] for lts in systems)
+        languages = [table.language((root,)) for root in roots]
+        assert _partition(languages) == _partition(map(trace_language, systems))
+        # the corpus does hold bisimilar and trace-equivalent pairs
+        assert len(set(languages)) <= len(set(roots)) < len(structures)
+
+    @pytest.mark.parametrize(
+        "mode, same, language",
+        [("interleaving", o_ib, o_traces), ("step", o_sb, o_step_traces)],
+    )
+    def test_root_partition_is_the_bisimulation_partition(self, mode, same, language):
+        structures = TestFingerprints._structures()
+        table = _LanguageTable()
+        got = _partition(table.root(s, mode) for s in structures)
+        assert got == _oracle_partition(structures, same, language)
+        assert len(got) < len(structures)
+
+    def test_a_wide_antichain_is_bounded(self):
+        # 25 one-label atoms have 26 residual keys, but the root alone has
+        # 2^25 - 1 step groups: the group list stops past the move budget
+        wide = from_expr("||".join(["a"] * 25))
+        started = time.perf_counter()
+        with pytest.raises(SizeLimit, match="step transitions; limit is 262144$"):
+            st_fingerprint(wide, _LanguageTable())
+        assert time.perf_counter() - started < 1
+        started = time.perf_counter()
+        try:
+            it_fingerprint(wide, _LanguageTable())
+        except SizeLimit:
+            pass
+        assert time.perf_counter() - started < 1
+
+    def test_events_and_expanded_states_are_bounded(self, monkeypatch):
+        with pytest.raises(SizeLimit, match="^structure has 31 events; limit is 30$"):
+            _LanguageTable().root(from_expr("||".join(["a"] * 31)), "interleaving")
+        monkeypatch.setattr(equivalences, "MAX_CONFIGURATIONS", 4)
+        # a;b;c;d expands its five prefixes, each residual a shorter chain
+        with pytest.raises(SizeLimit, match="^at least 5 configurations to expand; limit is 4$"):
+            _LanguageTable().root(from_expr("a;b;c;d"), "interleaving")
+        assert _LanguageTable().root(from_expr("a;b;c"), "interleaving") is not None
+        with pytest.raises(ModeMismatch):
+            _LanguageTable().root(from_expr("a"), "pomset")
+
+
 class TestSearch:
     @pytest.mark.parametrize("max_events", [0, -2, 10])
     def test_bound_outside_the_sizes_raises(self, max_events):
@@ -470,13 +549,16 @@ class TestSearch:
         groups, _, found = _process_bucket([reps[i] for i in indices], R.IT, R.IB, roots)
         assert len(indices) == 318 and len(groups) == 1 and not found
         assert max(most) <= len(groups) + 1
-        # every member is read by the it groups and again by the ib groups
-        assert len(most) == 2 * 318
+        # the it groups build a memo per member; the ib groups read each
+        # member's root class off its residuals and build none
+        assert len(most) == 318
 
     # sb/iso searches all 405 one-label classes up to 6 events; ib/iso stops
-    # at a||a against a;a, after the 3 classes of sizes 1 and 2
+    # at a||a against a;a, after the 3 classes of sizes 1 and 2.  Root
+    # classes are read off the classes' residuals, so keying and grouping
+    # build no transition system
     @pytest.mark.parametrize("coarse, classes", [(R.SB, 405), (R.IB, 3)])
-    def test_each_class_system_is_built_once(self, coarse, classes, monkeypatch):
+    def test_keying_builds_no_transition_system(self, coarse, classes, monkeypatch):
         real, built = semantics.build_lts, Counter()
 
         def counting(s, mode):
@@ -490,7 +572,7 @@ class TestSearch:
         except NoPairFound as err:
             searched = sum(map(int, re.findall(r"(\d+) classes", err.certificate)))
         assert searched == classes
-        assert built == {_MODE_OF[coarse]: classes}
+        assert built == {}
 
 
 def _all_pairs_bucket(members, coarse, fine, roots=None):
