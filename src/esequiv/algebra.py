@@ -20,9 +20,10 @@ rejected.
 
 Nothing here recurses: `parse` is one left-to-right operator-precedence
 loop over an operator stack, and `compile_term`, `render`, `atom_count` and
-the terms' `==`, `hash` and `repr` walk the term with an explicit stack, so
-neither depth nor length of a term meets Python's recursion limit.  A term of more than `MAX_CANON_EVENTS`
-atoms is refused with `SizeLimit`.
+the terms' `repr`, from which their `==` and `hash` are read, walk the term
+with an explicit stack, so neither depth nor length of a term meets
+Python's recursion limit.  A term of more than `MAX_CANON_EVENTS` atoms is
+refused with `SizeLimit`.
 """
 
 from __future__ import annotations
@@ -36,44 +37,22 @@ from .structure import EventStructure, build
 
 
 class _Node:
-    """`==`, `hash` and `repr` of the term classes, each one walk over an
-    explicit stack, so they meet no recursion limit on a long or deep term.
-    Terms are equal iff they are of one class with equal fields, as
-    `dataclass` makes them, a term's hash is made from its parts' hashes,
-    and its text is the one `dataclass` writes, such as
-    ``Par(left=Atom(label='a'), right=Atom(label='b'))``."""
+    """`repr` of the term classes by one walk over an explicit stack, so it
+    meets no recursion limit on a long or deep term, and `==` and `hash`
+    read from it.  Its text is the one `dataclass` writes, such as
+    ``Par(left=Atom(label='a'), right=Atom(label='b'))``; labels are written
+    by their own `repr`, so the text tells terms apart as `dataclass`
+    equality does."""
 
     __slots__ = ()
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        todo = [(self, other)]
-        while todo:
-            a, b = todo.pop()
-            if a is b:
-                continue
-            if type(a) is not type(b):
-                return False
-            if type(a) is Atom:
-                if a.label != b.label:
-                    return False
-            else:
-                todo += ((a.right, b.right), (a.left, b.left))
-        return True
+        return repr(self) == repr(other)
 
     def __hash__(self):
-        hashes, todo = [], [self]
-        while todo:
-            node = todo.pop()
-            if node is None:  # both parts of a binary node are hashed
-                right = hashes.pop()
-                hashes.append(hash((hashes.pop(), right)))
-            elif type(node) is Atom:
-                hashes.append(hash((node.label,)))
-            else:
-                todo += (None, node.right, node.left)
-        return hashes[0]
+        return hash(repr(self))
 
     def __repr__(self):
         out, todo = [], [self]

@@ -20,19 +20,18 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
 
-from .errors import ModeMismatch, SizeLimit, SpectrumViolation
+from .errors import ModeMismatch, SizeLimit, SpectrumViolation, ValidationError
 from .semantics import (
     MAX_CONFIGURATIONS,
     MAX_LTS_EVENTS,
-    MAX_TRANSITIONS,
     MODE_INTERLEAVING,
     MODE_POMSET,
     MODE_STEP,
     Lts,
     Semantics,
-    _concurrent_groups,
     _enabled,
     _event_rows,
+    _moves,
     _order_key,
 )
 from .structure import EventStructure, _bits, isomorphic
@@ -254,21 +253,27 @@ class _LanguageTable:
         root is first looked up by its residual's `_order_key` in the
         table's map for the mode, nested as labels -> packed rows -> class
         id: equal keys mean isomorphic residuals, so bisimilar states.  Only
-        a miss is expanded, its moves labelled as `build_lts` labels them
-        and interned by `_class_id`, so ids are equal iff the states are
-        bisimilar.  Raises `SizeLimit` past `MAX_LTS_EVENTS` events, past
-        `MAX_CONFIGURATIONS` expanded states or past `MAX_TRANSITIONS`
-        moves, and lists no more step groups than the moves left allow.
+        a miss is expanded, its moves made by `semantics._moves` as in
+        `build_lts` and interned by `_class_id`, so ids are equal iff the
+        states are bisimilar.  Raises `SizeLimit` past `MAX_LTS_EVENTS`
+        events, past `MAX_CONFIGURATIONS` expanded states or past
+        `MAX_TRANSITIONS` moves.  The residual is C's future only when
+        conflicts are inherited along causality, as `build` closes them, so
+        a structure whose conflicts are not raises `ValidationError`.
         """
         if mode not in (MODE_INTERLEAVING, MODE_STEP):
             raise ModeMismatch(f"no residual class pass in mode {mode!r}")
         if s.n > MAX_LTS_EVENTS:
             raise SizeLimit(f"structure has {s.n} events; limit is {MAX_LTS_EVENTS}")
+        conflicts, full = s.conflicts, s.all_mask
+        if any(conflicts) and any(
+            conflicts[d] & ~conflicts[e] for e in range(s.n) for d in _bits(s.down[e])
+        ):
+            raise ValidationError("conflicts are not inherited along causality")
         table = self.classes
         known = self._residuals.setdefault(mode, {})
-        step = mode == MODE_STEP
-        labels, conflicts, full = s.labels, s.conflicts, s.all_mask
         rows = _event_rows(s)
+        names = {}  # group mask -> its label, as `build_lts` spells it
         label_ids = {}  # group mask -> its label id
         seen = {}  # residual mask -> class id, within this structure
         expanded = count = 0
@@ -282,23 +287,12 @@ class _LanguageTable:
                     f"at least {expanded} configurations to expand; "
                     f"limit is {MAX_CONFIGURATIONS}"
                 )
-            events = _enabled(rows, mask)
-            if step:
-                groups = _concurrent_groups(conflicts, events, MAX_TRANSITIONS - count)
-            else:
-                groups = [1 << e for e in events]
-            count += len(groups)
-            if count > MAX_TRANSITIONS:
-                raise SizeLimit(f"at least {count} {mode} transitions; limit is {MAX_TRANSITIONS}")
+            groups, count = _moves(s, _enabled(rows, mask), mode, count, names)
             moves = []
             for group in groups:
                 label = label_ids.get(group)
                 if label is None:
-                    if step:
-                        name = tuple(sorted([labels[e] for e in _bits(group)]))
-                    else:
-                        name = labels[group.bit_length() - 1]
-                    label = label_ids[group] = table.setdefault(name, len(table))
+                    label = label_ids[group] = table.setdefault(names[group], len(table))
                 clash = blocked | group
                 for e in _bits(group):
                     clash |= conflicts[e]

@@ -149,7 +149,8 @@ def source_deleted_multiset(s):
 
 
 def _fingerprint(s, mode, table):
-    return table.language((table.root(Semantics.of(s).s, mode),))
+    s = s.s if isinstance(s, Semantics) else s
+    return table.language((table.root(s, mode),))
 
 
 def it_fingerprint(s: EventStructure, table):

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 
 from .errors import ModeMismatch, NotAConfiguration, SizeLimit, ValidationError
 from .structure import (
@@ -308,33 +307,58 @@ def build_lts(s: EventStructure | Semantics, mode: str) -> Lts:
     index = {m: i for i, m in enumerate(states)}
     enabled = sem.enabled
     labels = s.labels
-    step_labels = {}  # group mask -> its sorted labels
+    names = {}  # step group mask -> its label
     successors = []
     count = 0
     for i, mask in enumerate(states):
+        if mode == MODE_STEP:
+            groups, count = _moves(s, enabled[mask], mode, count, names)
+            successors.append(tuple(sorted([(names[g], index[mask | g]) for g in groups])))
+            continue
         if mode == MODE_INTERLEAVING:
+            # the moves `_moves` makes, inline: the spectrum builds many
+            # small interleaving systems, and a call per state shows there
             targets = enabled[mask]
-        elif mode == MODE_STEP:
-            targets = _concurrent_groups(s.conflicts, enabled[mask], MAX_TRANSITIONS - count)
         else:  # every strictly larger configuration; they come later in size order
             targets = [j for j in range(i + 1, len(states)) if states[j] & mask == mask]
         # counted before any move is labelled: a pomset label is a canonization
         count += len(targets)
         if count > MAX_TRANSITIONS:
-            raise SizeLimit(f"at least {count} {mode} transitions; limit is {MAX_TRANSITIONS}")
+            raise _overrun(count, mode)
         if mode == MODE_INTERLEAVING:
             moves = [(labels[e], index[mask | 1 << e]) for e in targets]
-        elif mode == MODE_STEP:
-            moves = []
-            for group in targets:
-                label = step_labels.get(group)
-                if label is None:
-                    label = step_labels[group] = tuple(sorted([labels[e] for e in _bits(group)]))
-                moves.append((label, index[mask | group]))
         else:
             moves = [(sem.code(states[j] & ~mask), j) for j in targets]
         successors.append(tuple(sorted(moves)))
     return Lts(mode, states, tuple(successors))
+
+
+def _overrun(count, mode):
+    """The error for `count` transitions made in `mode`, past `MAX_TRANSITIONS`."""
+    return SizeLimit(f"at least {count} {mode} transitions; limit is {MAX_TRANSITIONS}")
+
+
+def _moves(s, events, mode, count, names):
+    """The interleaving or step moves of a configuration whose addable
+    events are the ascending `events`, as group masks: each event alone,
+    or each non-empty conflict-free group.  `names` is left holding each
+    group's label: its event's label, or the sorted labels of its events.
+    `count` moves were made before; returns the groups and the new count,
+    raising `SizeLimit` past `MAX_TRANSITIONS` before any group is
+    labelled."""
+    labels = s.labels
+    if mode == MODE_INTERLEAVING:
+        groups = [1 << e for e in events]
+    else:
+        groups = _concurrent_groups(s.conflicts, events, MAX_TRANSITIONS - count)
+    count += len(groups)
+    if count > MAX_TRANSITIONS:
+        raise _overrun(count, mode)
+    for group in groups:
+        if group not in names:
+            spelled = tuple(sorted([labels[e] for e in _bits(group)]))
+            names[group] = spelled if mode == MODE_STEP else spelled[0]
+    return groups, count
 
 
 def _concurrent_groups(conflicts, events, room):
@@ -342,17 +366,13 @@ def _concurrent_groups(conflicts, events, room):
     bitmasks.  Each event extends only the groups kept so far that it has no
     conflict with, so the work follows the number of groups, not of submasks;
     the groups with a new top event come after every group without it.
-    The list never grows more than one past `room`, so a caller counting
-    moves against a budget sees it overrun before it lists them all."""
+    The list stops growing once it is past `room`, at most twice past it,
+    so a caller counting moves against a budget sees it overrun before it
+    lists them all."""
     groups = [0]
-    few = 1 << len(events) <= room + 1  # then every subset fits in the room
     for e in events:
         bit = 1 << e
-        if few:
-            groups += [g | bit for g in groups if not conflicts[e] & g]
-            continue
-        grown = (g | bit for g in groups if not conflicts[e] & g)
-        groups += list(islice(grown, room + 2 - len(groups)))
+        groups += [g | bit for g in groups if not conflicts[e] & g]
         if len(groups) > room + 1:
             break
     return groups[1:]

@@ -11,7 +11,7 @@ import pytest
 from esequiv.algebra import from_expr
 from esequiv.equivalences import _MODE_OF, Relation, _classes, bisim, check, implies, trace_equiv
 from esequiv import equivalences, search, semantics
-from esequiv.errors import ModeMismatch, NoPairFound, NotAnEes, SizeLimit
+from esequiv.errors import ModeMismatch, NoPairFound, NotAnEes, SizeLimit, ValidationError
 from esequiv.formats import dumps_es
 from esequiv.search import (
     SearchSpec,
@@ -335,6 +335,15 @@ class TestResidualRoots:
         assert _LanguageTable().root(from_expr("a;b;c"), "interleaving") is not None
         with pytest.raises(ModeMismatch):
             _LanguageTable().root(from_expr("a"), "pomset")
+
+    @pytest.mark.parametrize("fingerprint", [it_fingerprint, st_fingerprint])
+    def test_uninherited_conflicts_are_refused(self, fingerprint):
+        # a < b and a # c, but not b # c: the residual of {c} would be a free b
+        loose = EventStructure(labels=("a", "b", "c"), down=(0, 0b001, 0), conflicts=(0b100, 0, 0b001))
+        with pytest.raises(ValidationError, match="^conflicts are not inherited along causality$"):
+            fingerprint(loose, _LanguageTable())
+        closed = build(3, ["a", "b", "c"], causes=[(0, 1)], conflicts=[(0, 2)])
+        assert fingerprint(closed, _LanguageTable()) is not None
 
 
 class TestSearch:
