@@ -647,12 +647,30 @@ _ON_MEMOS = {
 
 def check(rel: Relation, sa: EventStructure, sb: EventStructure = None, *, witness=False):
     """Decide one relation between two structures (or memos of them, or
-    one `Pair`)."""
+    one `Pair`).
+
+    For ib, sb and pb the roots' move labels (`Semantics.root_labels`) come
+    first: a label one root has and the other lacks wins the bisimulation
+    game in one round, so the verdict is False with the depth-1 line that
+    `_bisim_line` would give, and no system is built.  For pb they are the
+    configurations' codes, read off the roots, not off pt's verdict, as
+    `_hp_universe` prunes from whb's root classes.  whb keeps its full pass:
+    its classes pick hb's and hhb's triples."""
     pair = Pair.of(sa, sb)
     mode = _MODE_OF.get(rel)
     if mode is not None:
-        decide = bisim if rel in _BY_BISIM else trace_equiv
-        return decide(pair.ma.lts(mode), pair.mb.lts(mode), witness=witness)
+        if rel not in _BY_BISIM:
+            return trace_equiv(pair.ma.lts(mode), pair.mb.lts(mode), witness=witness)
+        left, right = pair.ma.root_labels(mode), pair.mb.root_labels(mode)
+        if left == right:
+            return bisim(pair.ma.lts(mode), pair.mb.lts(mode), witness=witness)
+        if not witness:
+            return False
+        side, stuck = ("left", "right") if left - right else ("right", "left")
+        label = min(left - right or right - left)
+        return False, GameWitness(
+            ((side, label),), stuck_side=stuck, stuck_label=label, position=(0, 0)
+        )
     if rel not in _ON_MEMOS:
         raise ValueError(f"unknown relation {rel!r}")
     return _ON_MEMOS[rel](pair, witness)

@@ -225,6 +225,21 @@ class Semantics:
         # pt bucket key of a search size
         return frozenset(dict.fromkeys(map(self.code, self.configurations)))
 
+    def root_labels(self, mode: str):
+        """Labels of the root's moves in `mode`, read without building a
+        system: a label one root has and the other lacks wins the
+        bisimulation game in one round.  They are the labels of the groups
+        `_moves` makes from the root, or in the pomset mode `codes`, since
+        every configuration is one pomset move from the root (the empty
+        one's code is every structure's).  Raises what `build_lts` raises
+        first, then its bounds as far as the root needs."""
+        _refuse(self.s, mode)
+        if mode == MODE_POMSET:
+            return self.codes
+        names = {}
+        groups, _ = _moves(self.s, self.enabled[0], mode, 0, names)
+        return frozenset([names[g] for g in groups])
+
     def lts(self, mode: str) -> Lts:
         got = self._lts.get(mode)
         if got is None:
@@ -294,15 +309,21 @@ def _canonize(key):
     return enc
 
 
+def _refuse(s: EventStructure, mode: str):
+    """Raise what `build_lts` raises before it reads any configuration: an
+    unknown mode, or more than `MAX_LTS_EVENTS` events."""
+    if mode not in MODES:
+        raise ModeMismatch(f"unknown mode {mode!r}")
+    if s.n > MAX_LTS_EVENTS:
+        raise SizeLimit(f"structure has {s.n} events; limit is {MAX_LTS_EVENTS}")
+
+
 def build_lts(s: EventStructure | Semantics, mode: str) -> Lts:
     """Full transition system of the structure under the given mode; raises
     `SizeLimit` as soon as it has more than `MAX_TRANSITIONS` transitions."""
-    if mode not in MODES:
-        raise ModeMismatch(f"unknown mode {mode!r}")
     sem = Semantics.of(s)
     s = sem.s
-    if s.n > MAX_LTS_EVENTS:
-        raise SizeLimit(f"structure has {s.n} events; limit is {MAX_LTS_EVENTS}")
+    _refuse(s, mode)
     states = sem.configurations
     index = {m: i for i, m in enumerate(states)}
     enabled = sem.enabled

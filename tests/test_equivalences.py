@@ -1,9 +1,11 @@
 import random
+import time
 from collections import Counter
 
 import pytest
 
 import esequiv.equivalences as eq
+import esequiv.semantics as semantics
 from esequiv.algebra import from_expr
 from esequiv.equivalences import (
     INCLUSION_ARROWS,
@@ -22,7 +24,7 @@ from esequiv.equivalences import (
 )
 from esequiv.errors import ModeMismatch, SizeLimit
 from esequiv.semantics import MODE_INTERLEAVING, MODE_POMSET, MODE_STEP, MODES, build_lts
-from esequiv.spectrum import builtin_fixtures
+from esequiv.spectrum import CorpusSpec, builtin_fixtures, corpus_pairs
 from esequiv.structure import build
 
 from conftest import random_structure
@@ -326,12 +328,20 @@ class TestDispatch:
             return real_classes(lts, table, tags)
 
         monkeypatch.setattr(eq, "_classes", classes)
+        real_build = semantics.build_lts
+
+        def build_lts_counting(s, mode):
+            calls[("build_lts", mode)] += 1
+            return real_build(s, mode)
+
+        monkeypatch.setattr(semantics, "build_lts", build_lts_counting)
+
+        def labels_at_root(s, mode):  # read off the full system
+            return {label for label, _ in real_build(s, mode).successors[0]}
+
         once = Counter({
             ("trace_equiv", MODE_INTERLEAVING): 1,
             ("trace_equiv", MODE_STEP): 1,
-            ("bisim", MODE_INTERLEAVING): 1,
-            ("bisim", MODE_STEP): 1,
-            ("bisim", MODE_POMSET): 1,
             "pomset_trace_equiv": 1,
             "whb_equiv": 1,
             "hb_equiv": 1,
@@ -352,6 +362,7 @@ class TestDispatch:
         ]
         related = [whb_equiv(left, right, witness=True) for left, right in pairs]
         assert {ok for ok, _ in related} == {True, False}
+        pomsets_agree = set()
         for (left, right), (ok, wit) in zip(pairs, related):
             calls.clear()
             full_matrix(left, right, witness=True)
@@ -360,4 +371,71 @@ class TestDispatch:
             assert calls.pop("_enumerate_isos", 0) == (len(wit.members) if ok else 0)
             # and runs whb's tagged class pass once, one call per side
             assert calls.pop("tagged _classes") == 2
-            assert calls == once
+            # ib, sb and pb run the class pass only when the roots offer the
+            # same move labels, and no pomset system is built when they do not
+            agree = {m: labels_at_root(left, m) == labels_at_root(right, m) for m in MODES}
+            assert calls.pop(("build_lts", MODE_POMSET), 0) == (
+                (1 if left == right else 2) if agree[MODE_POMSET] else 0
+            )
+            for mode in (MODE_INTERLEAVING, MODE_STEP):
+                assert calls.pop(("build_lts", mode)) == (1 if left == right else 2)
+            assert calls == once + Counter({("bisim", m): 1 for m in MODES if agree[m]})
+            pomsets_agree.add(agree[MODE_POMSET])
+        assert pomsets_agree == {True, False}
+
+
+class TestRootRefutation:
+    """`check` refutes ib, sb and pb from the roots' move labels before it
+    builds a system; its verdicts and witnesses must be those of `bisim`
+    over the fully built systems, on the pairs it refutes and the others."""
+
+    @pytest.mark.parametrize("structure_class", ["pes", "cs", "ees"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_check_equals_bisim_over_built_systems(self, seed, structure_class):
+        spec = CorpusSpec(structure_class, 60, 6, alphabet=2, seed=seed)
+        pairs = [(left, right) for _, left, _, right in corpus_pairs(spec)]
+        pairs += [(fx.left, fx.right) for fx in builtin_fixtures()]
+        refuted = Counter()
+        for left, right in pairs:
+            for rel in (R.IB, R.SB, R.PB):
+                mode = eq._MODE_OF[rel]
+                la, lb = build_lts(left, mode), build_lts(right, mode)
+                for w in (False, True):
+                    assert check(rel, left, right, witness=w) == bisim(la, lb, witness=w)
+                refuted[rel] += {lab for lab, _ in la.successors[0]} != {
+                    lab for lab, _ in lb.successors[0]
+                }
+        # both paths are taken for every relation
+        assert all(0 < refuted[rel] < len(pairs) for rel in (R.IB, R.SB, R.PB))
+
+    @pytest.mark.parametrize("rel", [R.IB, R.SB, R.PB])
+    def test_event_bound_comes_first(self, rel):
+        wide = from_expr("||".join(["a"] * 31))
+        for left, right in ((wide, from_expr("a")), (from_expr("a;a"), wide)):
+            with pytest.raises(SizeLimit, match="^structure has 31 events; limit is 30$"):
+                check(rel, left, right)
+
+    def test_step_roots_keep_the_configurations_bound(self):
+        atoms = from_expr("||".join(["a"] * 25))
+        text = "^structure has at least 65537 configurations; limit is 65536$"
+        for right in (atoms, from_expr("a")):
+            with pytest.raises(SizeLimit, match=text):
+                check(R.SB, atoms, right)
+
+    def test_pomset_roots_refute_before_the_transition_bound(self, monkeypatch):
+        atoms = from_expr("||".join(["a"] * 12))
+        chain = from_expr(";".join(["a"] * 12))
+        # 3^12 - 2^12 pomset transitions: a pair that agrees at the roots
+        # still reaches the bound
+        text = "^at least 262147 pomset transitions; limit is 262144$"
+        with pytest.raises(SizeLimit, match=text):
+            check(R.PB, atoms, atoms)
+        monkeypatch.setattr(semantics, "build_lts", None)  # no system is built
+        times = []
+        for _ in range(3):
+            start = time.process_time()
+            assert check(R.PB, atoms, chain) is False
+            times.append(time.process_time() - start)
+        assert min(times) < 0.1
+        ok, wit = check(R.PB, chain, atoms, witness=True)
+        assert not ok and wit.moves[0][0] == "left" and wit.stuck_side == "right"
