@@ -23,7 +23,6 @@ from itertools import islice
 from .errors import ModeMismatch, SizeLimit, SpectrumViolation, ValidationError
 from .semantics import (
     MAX_CONFIGURATIONS,
-    MAX_LTS_EVENTS,
     MODE_INTERLEAVING,
     MODE_POMSET,
     MODE_STEP,
@@ -33,6 +32,8 @@ from .semantics import (
     _event_rows,
     _moves,
     _order_key,
+    _pomset_rows,
+    _refuse,
 )
 from .structure import EventStructure, _bits, isomorphic
 
@@ -225,8 +226,8 @@ _LABEL_BITS = (1 << 32) - 1
 
 
 class _LanguageTable:
-    """Bisimulation classes and trace-language ids of interleaving and step
-    systems; equal language ids under one table iff the languages are equal.
+    """Bisimulation classes, in all three modes, and trace-language ids;
+    equal language ids under one table iff the languages are equal.
 
     `classes` is a `_classes` table, and `root` gives a structure's root its
     class id in it, keeping the signature of each new class: its moves
@@ -244,9 +245,9 @@ class _LanguageTable:
         self._of = {}  # sorted tuple of class ids -> language id
         self._residuals = {}  # mode -> labels -> packed rows -> class id
 
-    def root(self, s: EventStructure, mode):
-        """Class id of the root of `s`'s system in the interleaving or step
-        mode, by a bottom-up class pass from the root that builds no system.
+    def root(self, s: EventStructure | Semantics, mode):
+        """Class id of the root of the system of `s`, a structure or a memo,
+        in `mode`, by a bottom-up class pass that builds no system.
 
         The future of a configuration C is the system of its residual, the
         events outside C and outside C's conflicts.  So each state but the
@@ -255,16 +256,16 @@ class _LanguageTable:
         id: equal keys mean isomorphic residuals, so bisimilar states.  Only
         a miss is expanded, its moves made by `semantics._moves` as in
         `build_lts` and interned by `_class_id`, so ids are equal iff the
-        states are bisimilar.  Raises `SizeLimit` past `MAX_LTS_EVENTS`
-        events, past `MAX_CONFIGURATIONS` expanded states or past
+        states are bisimilar.  Raises what `semantics._refuse` raises, then
+        `SizeLimit` past `MAX_CONFIGURATIONS` expanded states or past
         `MAX_TRANSITIONS` moves.  The residual is C's future only when
         conflicts are inherited along causality, as `build` closes them, so
-        a structure whose conflicts are not raises `ValidationError`.
+        a structure whose conflicts are not raises `ValidationError`, as
+        unclosed causality does in the pomset mode (`_pomset_rows`).
         """
-        if mode not in (MODE_INTERLEAVING, MODE_STEP):
-            raise ModeMismatch(f"no residual class pass in mode {mode!r}")
-        if s.n > MAX_LTS_EVENTS:
-            raise SizeLimit(f"structure has {s.n} events; limit is {MAX_LTS_EVENTS}")
+        sem = Semantics.of(s)
+        s = sem.s
+        _refuse(s, mode)
         conflicts, full = s.conflicts, s.all_mask
         if any(conflicts) and any(
             conflicts[d] & ~conflicts[e] for e in range(s.n) for d in _bits(s.down[e])
@@ -272,7 +273,7 @@ class _LanguageTable:
             raise ValidationError("conflicts are not inherited along causality")
         table = self.classes
         known = self._residuals.setdefault(mode, {})
-        rows = _event_rows(s)
+        rows = (_pomset_rows if mode == MODE_POMSET else _event_rows)(s)
         names = {}  # group mask -> its label, as `build_lts` spells it
         label_ids = {}  # group mask -> its label id
         seen = {}  # residual mask -> class id, within this structure
@@ -287,7 +288,7 @@ class _LanguageTable:
                     f"at least {expanded} configurations to expand; "
                     f"limit is {MAX_CONFIGURATIONS}"
                 )
-            groups, count = _moves(s, _enabled(rows, mask), mode, count, names)
+            groups, count = _moves(sem, _enabled(rows, mask), mode, count, names)
             moves = []
             for group in groups:
                 label = label_ids.get(group)

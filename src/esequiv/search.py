@@ -19,24 +19,21 @@ Buckets of cheap language invariants cut the quadratic pair testing; a
 bucket key holds only the finest trace invariant the chosen coarse
 relation implies, so bucketing never loses a qualifying pair.
 
-Keying builds no transition system.  Each class representative's root
-gets its bisimulation class in the fingerprint's mode from
-`_LanguageTable.root`, a class pass that reads the future of each
-configuration off its residual structure, the events outside it and its
-conflicts: residuals are small posets that repeat across the classes of a
-size, so each is expanded once per size under one table.  The trace
-fingerprint is the language of the root's class, read from those classes
-(bisimilar states have equal languages); with ib or sb as the coarse
-relation the root's class itself groups a bucket's members, and stays out
-of the bucket key.  pb builds its pomset systems only inside buckets of
-two or more members, and groups them by root class under one table per
-bucket; other coarse relations are checked against each group's first
-member.  The fine relation groups each coarse group of two or more members
-the same way (`_groups`, which builds a memo where it reads one and keeps
-only each group's first; ib and sb groups come from root classes under one
-table per group and build none), and a pair qualifies when its members
-fall into different fine groups; when the coarse relation implies the fine
-one, no pair can, and no fine group is formed.
+Keying, and grouping by ib, sb or pb, build no transition system:
+`_LanguageTable.root` gives a root its bisimulation class in any mode by a
+class pass that reads each configuration's future off its residual
+structure, the events outside it and its conflicts, and residuals repeat
+across the classes of a size, so each is expanded once per table.  Keying
+reads each root's class in the fingerprint's mode, under one table per
+size; the trace fingerprint is that class's language (bisimilar states
+have equal languages), and for ib or sb the class itself groups a bucket's
+members.  pb groups each bucket of two or more members by root classes
+under one table per bucket; other coarse relations check each member
+against each group's first, whose memo alone is kept (`_groups`).  The
+fine relation groups each coarse group of two or more members the same
+way, and a pair qualifies when its members fall into different fine
+groups; when the coarse relation implies the fine one, none can, and no
+fine group is formed.
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, islice
 
-from .equivalences import _BY_BISIM, _MODE_OF, Relation, _classes, _LanguageTable, check, implies
+from .equivalences import _BY_BISIM, _MODE_OF, Relation, _LanguageTable, check, implies
 from .errors import NoPairFound, NotAnEes, SizeLimit
 from .semantics import MODE_INTERLEAVING, MODE_STEP, Semantics, _order_key, configurations
 from .structure import EventStructure, canonical_form
@@ -149,7 +146,6 @@ def source_deleted_multiset(s):
 
 
 def _fingerprint(s, mode, table):
-    s = s.s if isinstance(s, Semantics) else s
     return table.language((table.root(s, mode),))
 
 
@@ -257,9 +253,8 @@ def _keyer(spec):
     sdm = spec.sdm_filter
 
     def key_of(sem, table):
-        s = sem.s
-        key = [tuple(sorted(s.labels))]
-        root = table.root(s, mode) if mode else None
+        key = [tuple(sorted(sem.s.labels))]
+        root = table.root(sem, mode) if mode else None
         if pomsets:
             key.append(sem.codes)
         elif fingerprint:
@@ -288,19 +283,14 @@ def _buckets(reps, spec, table):
 
 def _groups(members, rel, roots=None):
     """Group the structures `members` by the equivalence `rel`, in member
-    order, by root class (`roots` if given, else one table for ib, sb and
-    pb, whose ib and sb classes are read off residuals with no memo) or
-    against each group's first member, whose memo alone is kept; return the
-    groups and checks made."""
+    order, by root class (`roots` if given, else for ib, sb and pb read off
+    residuals under one table, with no system built) or against each
+    group's first member, whose memo alone is kept; return the groups and
+    checks made."""
     if roots is None and rel in _BY_BISIM:
         # a root's class under a table shared by the members is an exact key
-        mode = _MODE_OF[rel]
-        if rel is Relation.PB:
-            table = {}
-            roots = [_classes(Semantics(s).lts(mode), table)[0] for s in members]
-        else:
-            table = _LanguageTable()
-            roots = [table.root(s, mode) for s in members]
+        table = _LanguageTable()
+        roots = [table.root(s, _MODE_OF[rel]) for s in members]
     if roots is not None:
         by_class = {}
         for idx, root in enumerate(roots):

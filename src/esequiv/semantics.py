@@ -64,7 +64,7 @@ def _event_rows(s: EventStructure):
 
 
 def _enabled(rows, mask):
-    """The ascending events of `rows` addable to the configuration mask."""
+    """The events of `rows` addable to the configuration mask, in row order."""
     return [e for e, down, blocked in rows if mask & down == down and not mask & blocked]
 
 
@@ -237,7 +237,7 @@ class Semantics:
         if mode == MODE_POMSET:
             return self.codes
         names = {}
-        groups, _ = _moves(self.s, self.enabled[0], mode, 0, names)
+        groups, _ = _moves(self, self.enabled[0], mode, 0, names)
         return frozenset([names[g] for g in groups])
 
     def lts(self, mode: str) -> Lts:
@@ -319,84 +319,87 @@ def _refuse(s: EventStructure, mode: str):
 
 
 def build_lts(s: EventStructure | Semantics, mode: str) -> Lts:
-    """Full transition system of the structure under the given mode; raises
-    `SizeLimit` as soon as it has more than `MAX_TRANSITIONS` transitions."""
+    """Full transition system of the structure under the given mode, made
+    by `_moves`; raises `SizeLimit` past `MAX_TRANSITIONS` transitions.
+    The pomset mode needs causality closed as `build` closes it (see
+    `_pomset_rows`)."""
     sem = Semantics.of(s)
     s = sem.s
     _refuse(s, mode)
     states = sem.configurations
     index = {m: i for i, m in enumerate(states)}
-    enabled = sem.enabled
-    labels = s.labels
-    names = {}  # step group mask -> its label
+    if mode == MODE_POMSET:
+        rows = _pomset_rows(s)
+        listed = (_enabled(rows, mask) for mask in states)
+    else:
+        listed = sem.enabled.values()
+    names = {}  # group mask -> its label
     successors = []
     count = 0
-    for i, mask in enumerate(states):
-        if mode == MODE_STEP:
-            groups, count = _moves(s, enabled[mask], mode, count, names)
-            successors.append(tuple(sorted([(names[g], index[mask | g]) for g in groups])))
-            continue
-        if mode == MODE_INTERLEAVING:
-            # the moves `_moves` makes, inline: the spectrum builds many
-            # small interleaving systems, and a call per state shows there
-            targets = enabled[mask]
-        else:  # every strictly larger configuration; they come later in size order
-            targets = [j for j in range(i + 1, len(states)) if states[j] & mask == mask]
-        # counted before any move is labelled: a pomset label is a canonization
-        count += len(targets)
-        if count > MAX_TRANSITIONS:
-            raise _overrun(count, mode)
-        if mode == MODE_INTERLEAVING:
-            moves = [(labels[e], index[mask | 1 << e]) for e in targets]
-        else:
-            moves = [(sem.code(states[j] & ~mask), j) for j in targets]
-        successors.append(tuple(sorted(moves)))
+    for mask, events in zip(states, listed):
+        groups, count = _moves(sem, events, mode, count, names)
+        successors.append(tuple(sorted([(names[g], index[mask | g]) for g in groups])))
     return Lts(mode, states, tuple(successors))
 
 
-def _overrun(count, mode):
-    """The error for `count` transitions made in `mode`, past `MAX_TRANSITIONS`."""
-    return SizeLimit(f"at least {count} {mode} transitions; limit is {MAX_TRANSITIONS}")
+def _pomset_rows(s: EventStructure):
+    """`_event_rows` for which `_enabled` lists the events a pomset move
+    can add, those outside the configuration and its conflicts: causes
+    first, none waited for, and each event kept out by its causes'
+    conflicts too (which add nothing where `build` closed them).  Causes
+    come first by count, so causality that is not a transitively closed
+    strict order, as `build` makes it, raises `ValidationError`."""
+    conflicts, causes = s.conflicts, s.down
+    rows = []
+    for e, down, blocked in _event_rows(s):
+        if down >> e & 1:
+            raise ValidationError(f"event {e} is among its own causes")
+        for d in _bits(down):
+            if causes[d] & ~down:
+                raise ValidationError(f"causality is not transitively closed at event {e}")
+            blocked |= conflicts[d]
+        rows.append((down.bit_count(), e, blocked))
+    return [(e, 0, blocked) for _, e, blocked in sorted(rows)]
 
 
-def _moves(s, events, mode, count, names):
-    """The interleaving or step moves of a configuration whose addable
-    events are the ascending `events`, as group masks: each event alone,
-    or each non-empty conflict-free group.  `names` is left holding each
-    group's label: its event's label, or the sorted labels of its events.
-    `count` moves were made before; returns the groups and the new count,
-    raising `SizeLimit` past `MAX_TRANSITIONS` before any group is
-    labelled."""
-    labels = s.labels
+def _moves(sem: Semantics, events, mode, count, names):
+    """The moves of a configuration as group masks, in any mode: in the
+    interleaving one each of `events`, its addable events.  Else each of
+    `events`, listed causes first, extends every group kept so far that it
+    has no conflict with and that holds its causes among `events`: steps
+    from the addable events, pomset moves from those `_pomset_rows` lists.
+    `count` moves were made before; the new count is returned, and past
+    `MAX_TRANSITIONS` raises `SizeLimit` before any group is labelled (the
+    list stops growing once past the moves left, at most about twice).
+    `names` is left holding each group's label: its event's label, the
+    sorted labels of its events, or its code (`Semantics.code`)."""
+    s = sem.s
     if mode == MODE_INTERLEAVING:
         groups = [1 << e for e in events]
     else:
-        groups = _concurrent_groups(s.conflicts, events, MAX_TRANSITIONS - count)
+        conflicts, down = s.conflicts, s.down
+        room = MAX_TRANSITIONS - count + 1
+        groups, seen = [0], 0  # seen: the events listed so far
+        for e in events:
+            bit, clash, need = 1 << e, conflicts[e], down[e] & seen
+            groups += [g | bit for g in groups if not clash & g and g & need == need]
+            seen |= bit
+            if len(groups) > room:
+                break
+        del groups[0]
     count += len(groups)
     if count > MAX_TRANSITIONS:
-        raise _overrun(count, mode)
+        raise SizeLimit(f"at least {count} {mode} transitions; limit is {MAX_TRANSITIONS}")
+    labels = s.labels
     for group in groups:
         if group not in names:
-            spelled = tuple(sorted([labels[e] for e in _bits(group)]))
-            names[group] = spelled if mode == MODE_STEP else spelled[0]
+            if mode == MODE_INTERLEAVING:
+                names[group] = labels[group.bit_length() - 1]
+            elif mode == MODE_STEP:
+                names[group] = tuple(sorted([labels[e] for e in _bits(group)]))
+            else:
+                names[group] = sem.code(group)
     return groups, count
-
-
-def _concurrent_groups(conflicts, events, room):
-    """Non-empty conflict-free subsets of the ascending `events`, as ascending
-    bitmasks.  Each event extends only the groups kept so far that it has no
-    conflict with, so the work follows the number of groups, not of submasks;
-    the groups with a new top event come after every group without it.
-    The list stops growing once it is past `room`, at most twice past it,
-    so a caller counting moves against a budget sees it overrun before it
-    lists them all."""
-    groups = [0]
-    for e in events:
-        bit = 1 << e
-        groups += [g | bit for g in groups if not conflicts[e] & g]
-        if len(groups) > room + 1:
-            break
-    return groups[1:]
 
 
 def trace_language(lts: Lts, limit: int = 1_000_000):

@@ -31,7 +31,7 @@ from esequiv.semantics import Semantics, _order_key, build_lts, trace_language
 from esequiv.spectrum import CorpusSpec, corpus_pairs
 from esequiv.structure import EventStructure, build, canonical_form, isomorphic
 
-from oracles import o_configs, o_ib, o_sb, o_step_traces, o_traces
+from oracles import o_configs, o_ib, o_pb, o_pomsets, o_sb, o_step_traces, o_traces
 
 R = Relation
 
@@ -284,7 +284,7 @@ class TestResidualRoots:
     and builds no system; its ids must partition structures as the class
     pass over the built systems does."""
 
-    @pytest.mark.parametrize("mode", ["interleaving", "step"])
+    @pytest.mark.parametrize("mode", ["interleaving", "step", "pomset"])
     @pytest.mark.parametrize("structure_class", ["pes", "cs", "ees"])
     @pytest.mark.parametrize("seed", [1, 2])
     def test_roots_and_languages_equal_the_built_systems(self, seed, structure_class, mode):
@@ -294,6 +294,9 @@ class TestResidualRoots:
         roots = [table.root(s, mode) for s in structures]
         systems = [build_lts(s, mode) for s in structures]
         assert _partition(roots) == _partition(_classes(lts, shared)[0] for lts in systems)
+        if mode == "pomset":  # languages are read for interleaving and step classes only
+            assert len(set(roots)) < len(structures)
+            return
         languages = [table.language((root,)) for root in roots]
         assert _partition(languages) == _partition(map(trace_language, systems))
         # the corpus does hold bisimilar and trace-equivalent pairs
@@ -301,7 +304,11 @@ class TestResidualRoots:
 
     @pytest.mark.parametrize(
         "mode, same, language",
-        [("interleaving", o_ib, o_traces), ("step", o_sb, o_step_traces)],
+        [
+            ("interleaving", o_ib, o_traces),
+            ("step", o_sb, o_step_traces),
+            ("pomset", o_pb, o_pomsets),
+        ],
     )
     def test_root_partition_is_the_bisimulation_partition(self, mode, same, language):
         structures = TestFingerprints._structures()
@@ -333,8 +340,8 @@ class TestResidualRoots:
         with pytest.raises(SizeLimit, match="^at least 5 configurations to expand; limit is 4$"):
             _LanguageTable().root(from_expr("a;b;c;d"), "interleaving")
         assert _LanguageTable().root(from_expr("a;b;c"), "interleaving") is not None
-        with pytest.raises(ModeMismatch):
-            _LanguageTable().root(from_expr("a"), "pomset")
+        with pytest.raises(ModeMismatch, match="^unknown mode 'trace'$"):
+            _LanguageTable().root(from_expr("a"), "trace")
 
     @pytest.mark.parametrize("fingerprint", [it_fingerprint, st_fingerprint])
     def test_uninherited_conflicts_are_refused(self, fingerprint):
@@ -563,11 +570,24 @@ class TestSearch:
         assert len(most) == 318
 
     # sb/iso searches all 405 one-label classes up to 6 events; ib/iso stops
-    # at a||a against a;a, after the 3 classes of sizes 1 and 2.  Root
-    # classes are read off the classes' residuals, so keying and grouping
-    # build no transition system
-    @pytest.mark.parametrize("coarse, classes", [(R.SB, 405), (R.IB, 3)])
-    def test_keying_builds_no_transition_system(self, coarse, classes, monkeypatch):
+    # at a||a against a;a, after the 3 classes of sizes 1 and 2.  pb/whb
+    # without filters puts the 1,723 two-label classes up to 5 events in
+    # buckets of two or more and groups them by pb; ib/pb, one label, splits
+    # the ib group of a||a and a;a by pb.  Root classes, pb's too, are read
+    # off the classes' residuals, so keying and grouping build no transition
+    # system
+    @pytest.mark.parametrize(
+        "coarse, fine, alphabet, max_events, use_filters, classes",
+        [
+            pytest.param(R.SB, R.ISO, 1, 6, True, 405, id="sb-405"),
+            pytest.param(R.IB, R.ISO, 1, 6, True, 3, id="ib-3"),
+            pytest.param(R.PB, R.WHB, 2, 5, False, 1723, id="pb-whb-1723"),
+            pytest.param(R.IB, R.PB, 1, 6, True, 3, id="ib-pb-3"),
+        ],
+    )
+    def test_keying_builds_no_transition_system(
+        self, coarse, fine, alphabet, max_events, use_filters, classes, monkeypatch
+    ):
         real, built = semantics.build_lts, Counter()
 
         def counting(s, mode):
@@ -575,7 +595,10 @@ class TestSearch:
             return real(s, mode)
 
         monkeypatch.setattr(semantics, "build_lts", counting)
-        spec = SearchSpec(coarse=coarse, fine=R.ISO, max_events=6, alphabet=1)
+        spec = SearchSpec(
+            coarse=coarse, fine=fine, max_events=max_events, alphabet=alphabet,
+            use_filters=use_filters,
+        )
         try:
             searched = sum(st.classes for st in find_minimal_pairs(spec).stats.values())
         except NoPairFound as err:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 import re
 import time
@@ -8,7 +9,7 @@ import pytest
 
 from esequiv import semantics, structure
 from esequiv.algebra import from_expr
-from esequiv.equivalences import Relation, check, full_matrix
+from esequiv.equivalences import Relation, _LanguageTable, check, full_matrix
 from esequiv.errors import NotAConfiguration, SizeLimit, ValidationError
 from esequiv.semantics import (
     MODE_INTERLEAVING,
@@ -27,7 +28,7 @@ from esequiv.semantics import (
     trace_language,
 )
 from esequiv.search import SearchSpec, enumerate_posets, find_minimal_pairs
-from esequiv.spectrum import builtin_fixtures
+from esequiv.spectrum import CorpusSpec, builtin_fixtures, generate_corpus
 from esequiv.structure import EventStructure, build
 
 from conftest import random_structure
@@ -133,6 +134,47 @@ class TestLts:
                 1 for x in confs for y in confs if x != y and (x & y) == x
             )
             assert len(lts.transitions) == expected
+
+    def test_pomset_moves_reach_every_larger_configuration(self):
+        # a < b and a # c, but not b # c: b is outside {c}'s conflicts, yet
+        # no move from {c} may add it without a
+        loose = EventStructure(labels=("a", "b", "c"), down=(0, 0b001, 0), conflicts=(0b100, 0, 0b001))
+        # events numbered against causality: e3 < e2 < e1 < e0, e3 # e4
+        backwards = build(5, "abcde", causes=[(3, 2), (2, 1), (1, 0)], conflicts=[(3, 4)])
+        rng = random.Random(53)
+        structures = [loose, backwards] + [random_structure(rng, max_events=6) for _ in range(40)]
+        for s in structures:
+            lts = build_lts(s, MODE_POMSET)
+            for mask, moves in zip(lts.states, lts.successors):
+                larger = [y for y in lts.states if y & mask == mask and y != mask]
+                assert sorted(lts.states[j] for _, j in moves) == sorted(larger)
+                assert all(label == Semantics(s).code(lts.states[j] & ~mask) for label, j in moves)
+
+    def test_pomset_moves_refuse_unclosed_causality(self):
+        # e1 < e0 and e2 < e1 but not e2 < e0: causes-first by count would
+        # list e0 before its cause e1; a cycle has no causes-first order
+        unclosed = EventStructure(labels=("a", "b", "c"), down=(0b010, 0b100, 0), conflicts=(0, 0, 0))
+        cyclic = EventStructure(labels=("a", "b"), down=(0b11, 0b11), conflicts=(0, 0))
+        for s in (unclosed, cyclic):
+            for mode in (MODE_INTERLEAVING, MODE_STEP):
+                build_lts(s, mode)
+            with pytest.raises(ValidationError):
+                build_lts(s, MODE_POMSET)
+            with pytest.raises(ValidationError):
+                _LanguageTable().root(s, MODE_POMSET)
+
+    def test_systems_are_pinned(self):
+        # sha256 of every system's repr, in all three modes, over a seeded
+        # corpus: any change to the states, moves, labels or their order shows
+        digest = hashlib.sha256()
+        for cls in ("pes", "cs", "ees"):
+            for seed in (1, 2):
+                for s in generate_corpus(CorpusSpec(cls, 200, 7, alphabet=3, seed=seed)):
+                    for mode in (MODE_INTERLEAVING, MODE_STEP, MODE_POMSET):
+                        digest.update(repr(build_lts(s, mode)).encode())
+        assert digest.hexdigest() == (
+            "3acb92c518e92c79ee112f3375eb8e52338ea9f6c9900842ad249037a3473374"
+        )
 
     def test_singleton_slices_agree(self):
         rng = random.Random(31)
