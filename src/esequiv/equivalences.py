@@ -1,14 +1,16 @@
 """The ten behavioural relations and the verdict matrix.
 
-Trace equivalences are decided on determinized transition systems without
-materializing languages; bisimulations, and weak history preserving
-bisimilarity, by one rank-based pass that gives every state a class id
-bottom-up, since the systems are acyclic; the plain and hereditary history
-preserving relations by greatest fixpoints over triples carrying an
-explicit poset isomorphism, built only for the configuration pairs that
-whb's classes relate.  One `Pair` per call holds what these three share:
-whb's classes, computed once, and one set of triples, built once, that hb
-prunes in place and hhb prunes from a copy.
+Trace equivalences are decided by one on-the-fly subset search over the
+moves of the configurations it reaches, without materializing languages;
+pomset trace equivalence compares code sets size by size; bisimulations,
+and weak history preserving bisimilarity, once the roots' move labels
+fail to refute them, by one rank-based pass that gives every state a
+class id bottom-up, since the systems are acyclic; the plain and
+hereditary history preserving relations by greatest fixpoints over
+triples carrying an explicit poset isomorphism, built only for the
+configuration pairs that whb's classes relate.  One `Pair` per call holds
+what these three share: whb's classes, computed once, and one set of
+triples, built once, that hb prunes in place and hhb prunes from a copy.
 """
 
 from __future__ import annotations
@@ -134,58 +136,62 @@ class PomsetWitness:
 # ---------------------------------------------------------------------------
 
 
-def _indexed(lts: Lts):
-    """label -> per state, the bitmask of the state indices one move away."""
-    by_label = defaultdict(lambda: [0] * len(lts.states))
-    for i, moves in enumerate(lts.successors):
-        for label, j in moves:
-            by_label[label][i] |= 1 << j
-    return dict(by_label)
-
-
-def _subset_step(by_label, label, subset):
-    rows = by_label.get(label)
-    if rows is None:
-        return 0
-    out = 0
-    for i in _bits(subset):
-        out |= rows[i]
-    return out
-
-
 def trace_equiv(la: Lts, lb: Lts, *, witness=False):
     """Language equality of two rooted all-accepting transition systems.
 
-    Decided on the fly over determinized subset states; a negative verdict
-    yields the minimal distinguishing sequence.
+    Decided on the fly over determinized subset states (`_trace_search`);
+    a negative verdict yields the minimal distinguishing sequence.
     """
     if la.mode != lb.mode:
         raise ModeMismatch(f"cannot compare {la.mode} with {lb.mode}")
-    ta = _indexed(la)
-    tb = _indexed(lb)
-    alphabet = sorted(set(ta) | set(tb))
-    start = (1, 1)
+    return _trace_search(la.successors.__getitem__, lb.successors.__getitem__, witness)
+
+
+def _trace_search(moves_a, moves_b, witness):
+    """Language equality of two rooted acyclic systems, each given by its
+    moves function, state -> sorted (label, target state) moves, with root
+    0: the states of a built `Lts`, or the configurations of a memo
+    (`Semantics.moves`), whose moves are then made only for the states the
+    search reaches.
+
+    One breadth-first search over pairs of subsets, the states one label
+    sequence reaches on each side, from the roots, with the labels present
+    at a pair taken in sorted order; it stops at the first pair where one
+    side has a label the other lacks, so the witness is a shortest
+    sequence, least in that order among the shortest."""
+    start = (frozenset((0,)), frozenset((0,)))
     seen = {start}
     queue = [(start, ())]
     head = 0
     while head < len(queue):
         (sa, sb), path = queue[head]
         head += 1
-        for label in alphabet:
-            na = _subset_step(ta, label, sa)
-            nb = _subset_step(tb, label, sb)
-            if (na == 0) != (nb == 0):
-                if not witness:
-                    return False
-                side = "left" if na else "right"
-                return False, TraceWitness(side=side, sequence=path + (label,))
-            if na == 0:
-                continue
-            nxt = (na, nb)
+        na, nb = _after(moves_a, sa), _after(moves_b, sb)
+        if na.keys() != nb.keys():
+            if not witness:
+                return False
+            label = min(na.keys() ^ nb.keys())
+            side = "left" if label in na else "right"
+            return False, TraceWitness(side=side, sequence=path + (label,))
+        for label in sorted(na):
+            nxt = (frozenset(na[label]), frozenset(nb[label]))
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append((nxt, path + (label,)))
     return (True, None) if witness else True
+
+
+def _after(moves_of, subset):
+    """label -> the set of states one move under it from `subset`."""
+    out = {}
+    for state in subset:
+        for label, target in moves_of(state):
+            got = out.get(label)
+            if got is None:
+                out[label] = {target}
+            else:
+                got.add(target)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +405,11 @@ def _bisim_line(la: Lts, lb: Lts, cls_a, cls_b):
 
 
 def pomset_trace_equiv(sa: EventStructure, sb: EventStructure = None, *, witness=False):
-    """Equality of the sets of configuration pomsets."""
+    """Equality of the sets of configuration pomsets, compared size by size
+    (`_same_codes`); only a witness reads the full sets."""
     pair = Pair.of(sa, sb)
     ma, mb = pair.ma, pair.mb
-    if ma.codes == mb.codes:
+    if _same_codes(ma, mb):
         return (True, None) if witness else True
     if not witness:
         return False
@@ -410,6 +417,19 @@ def pomset_trace_equiv(sa: EventStructure, sb: EventStructure = None, *, witness
         only = [x for x in m.configurations if m.code(x) not in other.codes]
         if only:
             return False, PomsetWitness(side=side, configuration=min(only))
+
+
+def _same_codes(ma: Semantics, mb: Semantics):
+    """Whether the two memos' configurations have the same pomset codes.  A
+    code fixes its poset's size, so the sets are equal iff they are equal
+    size by size (`Semantics.sized_codes`): the sizes are compared in order,
+    after the largest, and no configuration past the first size that
+    differs is coded.  Both sides' configurations are listed first, left
+    then right."""
+    top = ma.configurations[-1].bit_count()
+    if top != mb.configurations[-1].bit_count():
+        return False
+    return all(ma.sized_codes(k) == mb.sized_codes(k) for k in range(top + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +446,19 @@ class Pair:
 
     def __init__(self, ma: Semantics, mb: Semantics):
         self.ma, self.mb = ma, mb
+
+    def roots_agree(self, mode):
+        """Whether the two roots' moves in `mode` have the same labels, read
+        without building a system: if not, the bisimulation game is lost in
+        one round.  They are `Semantics.root_labels`, but in the pomset mode,
+        where they are the configurations' codes, they are compared size by
+        size (`_same_codes`) once both sides pass `semantics._refuse`."""
+        ma, mb = self.ma, self.mb
+        if mode != MODE_POMSET:
+            return ma.root_labels(mode) == mb.root_labels(mode)
+        _refuse(ma.s, mode)
+        _refuse(mb.s, mode)
+        return _same_codes(ma, mb)
 
     @classmethod
     def of(cls, sa, sb=None):
@@ -462,9 +495,13 @@ def whb_equiv(sa: EventStructure, sb: EventStructure = None, *, witness=False):
 
     Bisimilarity of the interleaving systems through configuration pairs
     with isomorphic posets: one rank pass over both systems, each state
-    tagged with the pomset code of its configuration.
+    tagged with the pomset code of its configuration.  whb implies ib, so
+    when the interleaving roots' move labels differ it fails without the
+    pass and without a system (`Pair.roots_agree`).
     """
     pair = Pair.of(sa, sb)
+    if not pair.roots_agree(MODE_INTERLEAVING):
+        return (False, None) if witness else False
     ca, cb = pair.classes
     verdict = ca[0] == cb[0]
     if not witness:
@@ -515,15 +552,19 @@ def _enumerate_isos(sa, sb, x, y):
 def _hp_universe(pair: Pair):
     """The triples (X, Y, f) with whb relating X and Y and f an isomorphism
     poset(X) -> poset(Y), stored as the tuple of images of X's events in
-    ascending id order; empty when whb fails at the roots.
+    ascending id order; empty when whb fails at the roots, and then, when
+    the interleaving roots' move labels already differ, read without whb's
+    classes.
 
     The (X, Y) pairs of any history preserving bisimulation form a whb
     bisimulation, so no member of the hb or hhb fixpoint is missing.
     Raises `SizeLimit` as soon as there are more than `MAX_TRIPLES`.
     """
     ma, mb = pair.ma, pair.mb
-    ca, cb = pair.classes
     triples = set()
+    if not pair.roots_agree(MODE_INTERLEAVING):
+        return triples
+    ca, cb = pair.classes
     if ca[0] != cb[0]:
         return triples
     for x, y in _class_pairs(ma.configurations, ca, mb.configurations, cb):
@@ -650,23 +691,31 @@ def check(rel: Relation, sa: EventStructure, sb: EventStructure = None, *, witne
     """Decide one relation between two structures (or memos of them, or
     one `Pair`).
 
-    For ib, sb and pb the roots' move labels (`Semantics.root_labels`) come
-    first: a label one root has and the other lacks wins the bisimulation
-    game in one round, so the verdict is False with the depth-1 line that
-    `_bisim_line` would give, and no system is built.  For pb they are the
-    configurations' codes, read off the roots, not off pt's verdict, as
-    `_hp_universe` prunes from whb's root classes.  whb keeps its full pass:
-    its classes pick hb's and hhb's triples."""
+    Each relation builds a transition system, or reads a full set of
+    pomset codes, only when its verdict cannot be had without it.  it and
+    st run one subset search over the two memos' moves (`_trace_search`),
+    which makes the moves of only the configurations it reaches and stops
+    at the first label one side lacks.  For ib, sb and pb the roots' move
+    labels come first (`Pair.roots_agree`): a label one root has and the
+    other lacks wins the bisimulation game in one round, so the verdict is
+    False with the depth-1 line that `_bisim_line` would give, and no
+    system is built.  For pb they are the configurations' codes, compared
+    size by size, and read in full only for the witness.  whb, hb and hhb
+    fail at once when the interleaving roots' labels differ, since each
+    implies ib; else whb's classes pick hb's and hhb's triples."""
     pair = Pair.of(sa, sb)
+    ma, mb = pair.ma, pair.mb
     mode = _MODE_OF.get(rel)
     if mode is not None:
         if rel not in _BY_BISIM:
-            return trace_equiv(pair.ma.lts(mode), pair.mb.lts(mode), witness=witness)
-        left, right = pair.ma.root_labels(mode), pair.mb.root_labels(mode)
-        if left == right:
-            return bisim(pair.ma.lts(mode), pair.mb.lts(mode), witness=witness)
+            return _trace_search(
+                lambda i: ma.moves(i, mode), lambda i: mb.moves(i, mode), witness
+            )
+        if pair.roots_agree(mode):
+            return bisim(ma.lts(mode), mb.lts(mode), witness=witness)
         if not witness:
             return False
+        left, right = ma.root_labels(mode), mb.root_labels(mode)
         side, stuck = ("left", "right") if left - right else ("right", "left")
         label = min(left - right or right - left)
         return False, GameWitness(

@@ -184,7 +184,9 @@ class SizeStats:
     `groups` over all buckets, `pairs_tested` (every pairwise coarse check
     plus every pair of a coarse group that the fine relation decides, whether
     or not a `check` ran on it; none when fine is iso, where every such pair
-    qualifies) and the qualifying pairs `found`, only at the size returned."""
+    qualifies; a coarse group that its bucket key decides counts one check
+    per member past the first, though none runs) and the qualifying pairs
+    `found`, only at the size returned."""
 
     classes: int = 0
     buckets: int = 0
@@ -235,9 +237,12 @@ def _keyer(spec):
 
     The key holds the invariants of the structure implied by the coarse
     relation, its trace fingerprint under the `_LanguageTable` `table`
-    among them; with ib or sb as the coarse relation, root is the class id
-    of its root in that table, else None.  Which invariants are kept, and
-    the one mode the class pass runs in, are decided here once.
+    among them.  root is the structure's class under the coarse relation
+    when keying reads it, else None: with ib or sb the class id of its root
+    in that table, and with it, st or pt and filters on the invariant the
+    key holds for it (its language id, or its pomset codes), which decides
+    that relation, so a bucket is one coarse group.  Which invariants are
+    kept, and the one mode the class pass runs in, are decided here once.
     """
     coarse = spec.coarse
     # the finest trace invariant the coarse relation implies; pt implies st
@@ -250,6 +255,14 @@ def _keyer(spec):
         mode = MODE_STEP if implies(coarse, Relation.ST) else MODE_INTERLEAVING
     else:
         mode = _MODE_OF[coarse] if grouped else None
+    # the key holds the invariant of pt, st or it, which decides that
+    # relation, so for it as the coarse relation the invariant is the class
+    if pomsets:
+        decided = coarse is Relation.PT
+    elif fingerprint:
+        decided = coarse is (Relation.ST if mode == MODE_STEP else Relation.IT)
+    else:
+        decided = False
     sdm = spec.sdm_filter
 
     def key_of(sem, table):
@@ -261,15 +274,18 @@ def _keyer(spec):
             key.append(table.language((root,)))
         if sdm:
             key.append(source_deleted_multiset(sem))
+        if decided:
+            return tuple(key), key[1]
         return tuple(key), (root if grouped else None)
 
     return key_of
 
 
 def _buckets(reps, spec, table):
-    """Bucket key -> (member indices, their root class ids or None), in
-    member order.  A member's key and, for ib and sb, its root class come
-    from one memo and one `_LanguageTable.root` pass under `table`."""
+    """Bucket key -> (member indices, their coarse classes or None), in
+    member order (see `_keyer`).  A member's key and, for ib and sb, its
+    root class come from one memo and one `_LanguageTable.root` pass under
+    `table`."""
     key_of = _keyer(spec)
     buckets = {}
     for idx, s in enumerate(reps):
@@ -283,10 +299,12 @@ def _buckets(reps, spec, table):
 
 def _groups(members, rel, roots=None):
     """Group the structures `members` by the equivalence `rel`, in member
-    order, by root class (`roots` if given, else for ib, sb and pb read off
-    residuals under one table, with no system built) or against each
-    group's first member, whose memo alone is kept; return the groups and
-    checks made."""
+    order, by class (`roots` if given, else for ib, sb and pb root classes
+    read off residuals under one table, with no system built) or against
+    each group's first member, whose memo alone is kept; return the groups
+    and the checks counted.  Classes of it, st or pt come from a bucket key
+    that decides the relation, so they make one group, and each member past
+    its first counts as the check against it that the key spared."""
     if roots is None and rel in _BY_BISIM:
         # a root's class under a table shared by the members is an exact key
         table = _LanguageTable()
@@ -295,7 +313,8 @@ def _groups(members, rel, roots=None):
         by_class = {}
         for idx, root in enumerate(roots):
             by_class.setdefault(root, []).append(idx)
-        return list(by_class.values()), 0
+        groups = list(by_class.values())
+        return groups, 0 if rel in _BY_BISIM else len(members) - len(groups)
     groups, firsts, checks = [], [], 0
     for idx, s in enumerate(members):
         sem = Semantics(s)

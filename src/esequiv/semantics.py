@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 
 from .errors import ModeMismatch, NotAConfiguration, SizeLimit, ValidationError
 from .structure import (
@@ -164,8 +165,13 @@ class Lts:
 
 class Semantics:
     """The facts about one structure that the relations read, each computed
-    on first use: configurations, enabled events, pomset codes, and one
-    transition system per mode.
+    on first use: configurations, enabled events, pomset codes (as one set,
+    and one set per configuration size), each configuration's moves per
+    mode, and one transition system per mode.  A configuration's moves are
+    made when a decider first asks for them and kept, so a trace search
+    expands only the configurations it reaches and a system built later
+    reuses them; the moves of one memo and mode count together against
+    `MAX_TRANSITIONS`.
 
     A memo lives for one call (one pair check, one search key or bucket),
     holds nothing about a pair, and is never attached to the structure or
@@ -184,6 +190,11 @@ class Semantics:
         self.s = s
         self._codes = {}
         self._lts = {}
+        # mode -> (per configuration index its moves or None, group -> its
+        # label, the `_pomset_rows` its pomset moves are listed from, else None)
+        self._listed = {}
+        self._made = dict.fromkeys(MODES, 0)  # mode -> moves listed so far
+        self._sized = {}  # size -> the codes of the configurations of that size
 
     @classmethod
     def of(cls, s):
@@ -225,20 +236,61 @@ class Semantics:
         # pt bucket key of a search size
         return frozenset(dict.fromkeys(map(self.code, self.configurations)))
 
+    @cached_property
+    def _by_size(self):
+        """The configurations split by size, smallest first."""
+        return [tuple(group) for _, group in groupby(self.configurations, int.bit_count)]
+
+    def sized_codes(self, k: int):
+        """The set of the pomset codes of the configurations with k events,
+        made on first request.  A code fixes its poset's size, so two memos
+        have equal `codes` iff these sets are equal at every size."""
+        got = self._sized.get(k)
+        if got is None:
+            got = self._sized[k] = frozenset(map(self.code, self._by_size[k]))
+        return got
+
     def root_labels(self, mode: str):
         """Labels of the root's moves in `mode`, read without building a
         system: a label one root has and the other lacks wins the
-        bisimulation game in one round.  They are the labels of the groups
-        `_moves` makes from the root, or in the pomset mode `codes`, since
-        every configuration is one pomset move from the root (the empty
-        one's code is every structure's).  Raises what `build_lts` raises
-        first, then its bounds as far as the root needs."""
-        _refuse(self.s, mode)
+        bisimulation game in one round.  They are the labels of the root's
+        `moves`, or in the pomset mode `codes`, since every configuration is
+        one pomset move from the root (the empty one's code is every
+        structure's).  Raises what `build_lts` raises first, then its bounds
+        as far as the root needs."""
         if mode == MODE_POMSET:
+            _refuse(self.s, mode)
             return self.codes
-        names = {}
-        groups, _ = _moves(self, self.enabled[0], mode, 0, names)
-        return frozenset([names[g] for g in groups])
+        return frozenset([label for label, _ in self.moves(0, mode)])
+
+    def moves(self, i: int, mode: str):
+        """The sorted (label, target index) moves in `mode` of the i-th
+        configuration (of `configurations`; 0 is the root), made by `_moves`
+        on first request and kept.  `build_lts` shares these tuples, so a
+        system holds no second copy of them.  The first request in a mode
+        raises what `build_lts` raises before it makes a move; the moves
+        made in a mode count together against `MAX_TRANSITIONS`, raising
+        `SizeLimit` with `build_lts`'s message."""
+        listed = self._listed.get(mode)
+        if listed is None:
+            _refuse(self.s, mode)
+            known = [None] * len(self.configurations)
+            rows = _pomset_rows(self.s) if mode == MODE_POMSET else None
+            listed = self._listed[mode] = (known, {}, rows)
+        known, names, rows = listed
+        got = known[i]
+        if got is None:
+            mask = self.configurations[i]
+            events = self.enabled[mask] if rows is None else _enabled(rows, mask)
+            groups, self._made[mode] = _moves(self, events, mode, self._made[mode], names)
+            index = self._index
+            got = known[i] = tuple(sorted([(names[g], index[mask | g]) for g in groups]))
+        return got
+
+    @cached_property
+    def _index(self):
+        """configuration -> its index in `configurations`."""
+        return {m: i for i, m in enumerate(self.configurations)}
 
     def lts(self, mode: str) -> Lts:
         got = self._lts.get(mode)
@@ -319,27 +371,15 @@ def _refuse(s: EventStructure, mode: str):
 
 
 def build_lts(s: EventStructure | Semantics, mode: str) -> Lts:
-    """Full transition system of the structure under the given mode, made
-    by `_moves`; raises `SizeLimit` past `MAX_TRANSITIONS` transitions.
-    The pomset mode needs causality closed as `build` closes it (see
+    """Full transition system of the structure under the given mode, every
+    state's moves read through `Semantics.moves`, so made by `_moves` once
+    per memo; raises `SizeLimit` past `MAX_TRANSITIONS` transitions.  The
+    pomset mode needs causality closed as `build` closes it (see
     `_pomset_rows`)."""
     sem = Semantics.of(s)
-    s = sem.s
-    _refuse(s, mode)
+    _refuse(sem.s, mode)
     states = sem.configurations
-    index = {m: i for i, m in enumerate(states)}
-    if mode == MODE_POMSET:
-        rows = _pomset_rows(s)
-        listed = (_enabled(rows, mask) for mask in states)
-    else:
-        listed = sem.enabled.values()
-    names = {}  # group mask -> its label
-    successors = []
-    count = 0
-    for mask, events in zip(states, listed):
-        groups, count = _moves(sem, events, mode, count, names)
-        successors.append(tuple(sorted([(names[g], index[mask | g]) for g in groups])))
-    return Lts(mode, states, tuple(successors))
+    return Lts(mode, states, tuple([sem.moves(i, mode) for i in range(len(states))]))
 
 
 def _pomset_rows(s: EventStructure):

@@ -23,7 +23,14 @@ from esequiv.equivalences import (
     whb_equiv,
 )
 from esequiv.errors import ModeMismatch, SizeLimit
-from esequiv.semantics import MODE_INTERLEAVING, MODE_POMSET, MODE_STEP, MODES, build_lts
+from esequiv.semantics import (
+    MODE_INTERLEAVING,
+    MODE_POMSET,
+    MODE_STEP,
+    MODES,
+    Semantics,
+    build_lts,
+)
 from esequiv.spectrum import CorpusSpec, builtin_fixtures, corpus_pairs
 from esequiv.structure import build
 
@@ -136,6 +143,15 @@ class TestPomsetTrace:
         )
         assert not ok
         assert wit.configuration == 0b11
+
+    def test_a_size_below_the_largest_differs(self):
+        # the codes are compared size by size: both sides have the one
+        # 2-event pomset a<b, but only the left has the 1-event pomset c
+        left, right = from_expr("(a;b)+c"), from_expr("(a;b)+a")
+        for rel in (R.PT, R.PB):
+            assert check(rel, left, right) is False
+        ok, wit = pomset_trace_equiv(left, right, witness=True)
+        assert not ok and wit.side == "left" and wit.configuration == 0b100
 
     def test_step_equivalent_pair_differs(self, pair_st_not_ib):
         left, right = pair_st_not_ib
@@ -339,9 +355,9 @@ class TestDispatch:
         def labels_at_root(s, mode):  # read off the full system
             return {label for label, _ in real_build(s, mode).successors[0]}
 
+        # it and st run the subset search over the memos, so neither calls
+        # trace_equiv nor builds a system
         once = Counter({
-            ("trace_equiv", MODE_INTERLEAVING): 1,
-            ("trace_equiv", MODE_STEP): 1,
             "pomset_trace_equiv": 1,
             "whb_equiv": 1,
             "hb_equiv": 1,
@@ -362,26 +378,26 @@ class TestDispatch:
         ]
         related = [whb_equiv(left, right, witness=True) for left, right in pairs]
         assert {ok for ok, _ in related} == {True, False}
-        pomsets_agree = set()
+        seen_agree = {m: set() for m in MODES}
         for (left, right), (ok, wit) in zip(pairs, related):
             calls.clear()
             full_matrix(left, right, witness=True)
             # the pair builds the triples of every pair whb relates once, for
             # hb and hhb together, and none at all when whb fails at the roots
             assert calls.pop("_enumerate_isos", 0) == (len(wit.members) if ok else 0)
-            # and runs whb's tagged class pass once, one call per side
-            assert calls.pop("tagged _classes") == 2
             # ib, sb and pb run the class pass only when the roots offer the
-            # same move labels, and no pomset system is built when they do not
+            # same move labels, and build a system of their mode only then;
+            # whb builds the interleaving one for its tagged class pass, run
+            # once per side, only when the interleaving roots agree
             agree = {m: labels_at_root(left, m) == labels_at_root(right, m) for m in MODES}
-            assert calls.pop(("build_lts", MODE_POMSET), 0) == (
-                (1 if left == right else 2) if agree[MODE_POMSET] else 0
-            )
-            for mode in (MODE_INTERLEAVING, MODE_STEP):
-                assert calls.pop(("build_lts", mode)) == (1 if left == right else 2)
+            for mode in MODES:
+                assert calls.pop(("build_lts", mode), 0) == (
+                    (1 if left == right else 2) if agree[mode] else 0
+                )
+                seen_agree[mode].add(agree[mode])
+            assert calls.pop("tagged _classes", 0) == (2 if agree[MODE_INTERLEAVING] else 0)
             assert calls == once + Counter({("bisim", m): 1 for m in MODES if agree[m]})
-            pomsets_agree.add(agree[MODE_POMSET])
-        assert pomsets_agree == {True, False}
+        assert all(seen == {True, False} for seen in seen_agree.values())
 
 
 class TestRootRefutation:
@@ -408,7 +424,9 @@ class TestRootRefutation:
         # both paths are taken for every relation
         assert all(0 < refuted[rel] < len(pairs) for rel in (R.IB, R.SB, R.PB))
 
-    @pytest.mark.parametrize("rel", [R.IB, R.SB, R.PB])
+    @pytest.mark.parametrize(
+        "rel", [R.IT, R.ST, R.IB, R.SB, R.WHB, R.PB, R.HB, R.HHB]
+    )
     def test_event_bound_comes_first(self, rel):
         wide = from_expr("||".join(["a"] * 31))
         for left, right in ((wide, from_expr("a")), (from_expr("a;a"), wide)):
@@ -439,3 +457,84 @@ class TestRootRefutation:
         assert min(times) < 0.1
         ok, wit = check(R.PB, chain, atoms, witness=True)
         assert not ok and wit.moves[0][0] == "left" and wit.stuck_side == "right"
+
+    def test_step_traces_refute_before_the_transition_bound(self, monkeypatch):
+        atoms = from_expr("||".join(["a"] * 12))
+        chain = from_expr(";".join(["a"] * 12))
+        # 3^12 - 2^12 step transitions: the search over the antichain against
+        # itself reaches them all and stops at the bound
+        text = "^at least 262147 step transitions; limit is 262144$"
+        with pytest.raises(SizeLimit, match=text):
+            check(R.ST, atoms, atoms)
+        # against the chain it stops after the roots, at the step a,a
+        monkeypatch.setattr(semantics, "build_lts", None)  # no system is built
+        assert check(R.ST, atoms, chain) is False
+        ok, wit = check(R.ST, atoms, chain, witness=True)
+        assert not ok and wit == TraceWitness(side="left", sequence=(("a", "a"),))
+
+
+class TestLazyDeciders:
+    """`check` decides it and st by a subset search over the memos' moves,
+    and whb, hb and hhb fail at once when the interleaving roots' move
+    labels differ; its verdicts and witnesses must be those of the deciders
+    over fully built systems, on the pairs the new paths cut short and the
+    others."""
+
+    @staticmethod
+    def pairs(seed, structure_class):
+        spec = CorpusSpec(structure_class, 60, 6, alphabet=2, seed=seed)
+        pairs = [(left, right) for _, left, _, right in corpus_pairs(spec)]
+        return pairs + [(fx.left, fx.right) for fx in builtin_fixtures()]
+
+    @pytest.mark.parametrize("structure_class", ["pes", "cs", "ees"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_trace_search_equals_trace_equiv_over_built_systems(self, seed, structure_class):
+        pairs = self.pairs(seed, structure_class)
+        cut, related = Counter(), Counter()
+        for left, right in pairs:
+            for rel in (R.IT, R.ST):
+                mode = eq._MODE_OF[rel]
+                la, lb = build_lts(left, mode), build_lts(right, mode)
+                for w in (False, True):
+                    ma, mb = Semantics(left), Semantics(right)
+                    assert check(rel, ma, mb, witness=w) == trace_equiv(la, lb, witness=w)
+                # the search makes the moves only of the configurations it
+                # reaches: all of them when it holds, maybe fewer when not
+                expanded = sum(
+                    moves is not None for m in (ma, mb) for moves in m._listed[mode][0]
+                )
+                cut[rel] += expanded < len(la.states) + len(lb.states)
+                related[rel] += trace_equiv(la, lb)
+        # both paths are taken for every relation
+        for rel in (R.IT, R.ST):
+            assert 0 < cut[rel] and 0 < related[rel] < len(pairs)
+            assert cut[rel] <= len(pairs) - related[rel]
+
+    @pytest.mark.parametrize("structure_class", ["pes", "cs", "ees"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_whb_equals_the_tagged_class_pass_over_built_systems(self, seed, structure_class):
+        pairs = self.pairs(seed, structure_class)
+        refuted = 0
+        for left, right in pairs:
+            table, cls, sems = {}, [], (Semantics(left), Semantics(right))
+            for m in sems:
+                lts = build_lts(m, MODE_INTERLEAVING)
+                tags = [table.setdefault(m.code(x), len(table)) for x in lts.states]
+                cls.append(eq._classes(lts, table, tags))
+            (ca, cb), ok = cls, cls[0][0] == cls[1][0]
+            members = eq._class_pairs(sems[0].configurations, ca, sems[1].configurations, cb)
+            full = (ok, eq.RelationWitness("weak-history-bisimulation", members) if ok else None)
+            assert check(R.WHB, left, right) == ok
+            assert check(R.WHB, left, right, witness=True) == full
+            refuted += eq.Pair.of(left, right).roots_agree(MODE_INTERLEAVING) is False
+        # both paths are taken
+        assert 0 < refuted < len(pairs)
+
+    def test_refuted_roots_build_nothing_for_the_history_relations(self, monkeypatch):
+        # a;b against b;a: the interleaving roots offer a against b
+        left, right = from_expr("a;b"), from_expr("b;a")
+        monkeypatch.setattr(semantics, "build_lts", None)
+        monkeypatch.setattr(eq, "_classes", None)
+        for rel in (R.WHB, R.HB, R.HHB):
+            assert check(rel, left, right) is False
+            assert check(rel, left, right, witness=True) == (False, None)

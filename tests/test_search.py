@@ -514,8 +514,10 @@ class TestSearch:
     @pytest.mark.parametrize("fine", [R.IB, R.SB, R.PB])
     @pytest.mark.parametrize("coarse", [R.IT, R.ST])
     def test_class_keyed_fine_relations_make_no_check(self, coarse, fine, monkeypatch):
-        # the fine groups come from root classes; only the coarse relation,
-        # grouped against each group's first member, is checked
+        # the fine groups come from root classes; without filters only the
+        # coarse relation, grouped against each group's first member, is
+        # checked, and with them the coarse groups are the buckets, whose
+        # trace fingerprints decide it and st, so nothing is
         real, called = search.check, Counter()
 
         def counting(rel, *args, **kwargs):
@@ -523,12 +525,16 @@ class TestSearch:
             return real(rel, *args, **kwargs)
 
         monkeypatch.setattr(search, "check", counting)
-        spec = SearchSpec(coarse=coarse, fine=fine, max_events=5, alphabet=2)
-        try:
-            find_minimal_pairs(spec)
-        except NoPairFound:
-            pass
-        assert set(called) == {coarse}
+        for use_filters in (True, False):
+            called.clear()
+            spec = SearchSpec(
+                coarse=coarse, fine=fine, max_events=5, alphabet=2, use_filters=use_filters
+            )
+            try:
+                find_minimal_pairs(spec)
+            except NoPairFound:
+                pass
+            assert set(called) == (set() if use_filters else {coarse})
 
     def test_implied_fine_relation_makes_no_check(self, monkeypatch):
         # st implies it, so no pair of an st group can qualify: the it pass is
@@ -542,7 +548,10 @@ class TestSearch:
         monkeypatch.setattr(search, "check", counting)
         with pytest.raises(NoPairFound) as err:
             find_minimal_pairs(SearchSpec(coarse=R.ST, fine=R.IT, max_events=6))
-        assert called == Counter({R.ST: 107})  # and 107 it checks before the skip
+        # the st groups are the buckets, whose step fingerprints decide st:
+        # their 107 st checks still count as tested, but none runs, and
+        # neither do 107 it checks before the skip
+        assert called == Counter()
         assert _sha(err.value.certificate) == (
             "3a039228d554352756cb4b98b1251c75b943068141321d7ef770e6dc9cdf19d2"
         )
@@ -551,8 +560,6 @@ class TestSearch:
         # one label: every class of 6 events has the same traces, so the
         # it/ib search puts all 318 of them in one bucket and one it group
         reps = list(enumerate_posets(6, 1))
-        spec = SearchSpec(coarse=R.IT, fine=R.IB, max_events=6)
-        ((indices, roots),) = _buckets(reps, spec, _LanguageTable()).values()
         live, most = weakref.WeakSet(), []
 
         class Tracked(Semantics):
@@ -561,13 +568,23 @@ class TestSearch:
                 super().__init__(s)
                 live.add(self)
 
-        monkeypatch.setattr(search, "Semantics", Tracked)
-        groups, _, found = _process_bucket([reps[i] for i in indices], R.IT, R.IB, roots)
-        assert len(indices) == 318 and len(groups) == 1 and not found
-        assert max(most) <= len(groups) + 1
-        # the it groups build a memo per member; the ib groups read each
-        # member's root class off its residuals and build none
-        assert len(most) == 318
+        for use_filters in (True, False):
+            spec = SearchSpec(coarse=R.IT, fine=R.IB, max_events=6, use_filters=use_filters)
+            ((indices, roots),) = _buckets(reps, spec, _LanguageTable()).values()
+            most.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(search, "Semantics", Tracked)
+                members = [reps[i] for i in indices]
+                groups, tested, found = _process_bucket(members, R.IT, R.IB, roots)
+            assert len(indices) == 318 and len(groups) == 1 and not found
+            # 317 it checks, made or spared, and every pair of the group for ib
+            assert tested == 317 + 318 * 317 // 2
+            # without filters the it groups build a memo per member and keep
+            # one per group; with them the bucket key decides it and none is
+            # built.  The ib groups read each member's root class off its
+            # residuals and build none
+            assert len(most) == (0 if use_filters else 318)
+            assert max(most, default=0) <= len(groups) + 1
 
     # sb/iso searches all 405 one-label classes up to 6 events; ib/iso stops
     # at a||a against a;a, after the 3 classes of sizes 1 and 2.  pb/whb
@@ -612,6 +629,8 @@ def _all_pairs_bucket(members, coarse, fine, roots=None):
     relation: the reference the fine groups must agree with."""
     sems = [Semantics(s) for s in members]
     pairs_tested = 0
+    if coarse not in (R.IB, R.SB, R.PB):
+        roots = None  # trace classes from a bucket key are checked pair by pair
     if roots is None and coarse in (R.IB, R.SB, R.PB):
         table = {}
         roots = [_classes(sem.lts(_MODE_OF[coarse]), table)[0] for sem in sems]
