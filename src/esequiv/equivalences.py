@@ -3,14 +3,16 @@
 Trace equivalences are decided by one on-the-fly subset search over the
 moves of the configurations it reaches, without materializing languages;
 pomset trace equivalence compares code sets size by size; bisimulations,
-and weak history preserving bisimilarity, once the roots' move labels
-fail to refute them, by one rank-based pass that gives every state a
-class id bottom-up, since the systems are acyclic; the plain and
-hereditary history preserving relations by greatest fixpoints over
-triples carrying an explicit poset isomorphism, built only for the
-configuration pairs that whb's classes relate.  One `Pair` per call holds
-what these three share: whb's classes, computed once, and one set of
-triples, built once, that hb prunes in place and hhb prunes from a copy.
+once the roots' move labels fail to refute them, by one rank-based pass
+that gives every state a class id bottom-up, since the systems are
+acyclic; weak history preserving bisimilarity by the same pass over
+states tagged with their pomsets, once neither the interleaving roots'
+labels nor the code sets refute it; the plain and hereditary history
+preserving relations by greatest fixpoints over triples carrying an
+explicit poset isomorphism, built only for the configuration pairs that
+whb relates.  One `Pair` per call holds what these share, each computed
+once: the code comparison, whb's configuration pairs, and one set of
+triples that hb prunes in place and hhb prunes from a copy.
 """
 
 from __future__ import annotations
@@ -406,10 +408,10 @@ def _bisim_line(la: Lts, lb: Lts, cls_a, cls_b):
 
 def pomset_trace_equiv(sa: EventStructure, sb: EventStructure = None, *, witness=False):
     """Equality of the sets of configuration pomsets, compared size by size
-    (`_same_codes`); only a witness reads the full sets."""
+    once per pair (`Pair.codes_agree`); only a witness reads the full sets."""
     pair = Pair.of(sa, sb)
     ma, mb = pair.ma, pair.mb
-    if _same_codes(ma, mb):
+    if pair.codes_agree:
         return (True, None) if witness else True
     if not witness:
         return False
@@ -419,30 +421,19 @@ def pomset_trace_equiv(sa: EventStructure, sb: EventStructure = None, *, witness
             return False, PomsetWitness(side=side, configuration=min(only))
 
 
-def _same_codes(ma: Semantics, mb: Semantics):
-    """Whether the two memos' configurations have the same pomset codes.  A
-    code fixes its poset's size, so the sets are equal iff they are equal
-    size by size (`Semantics.sized_codes`): the sizes are compared in order,
-    after the largest, and no configuration past the first size that
-    differs is coded.  Both sides' configurations are listed first, left
-    then right."""
-    top = ma.configurations[-1].bit_count()
-    if top != mb.configurations[-1].bit_count():
-        return False
-    return all(ma.sized_codes(k) == mb.sized_codes(k) for k in range(top + 1))
-
-
 # ---------------------------------------------------------------------------
 # history preserving family
 # ---------------------------------------------------------------------------
 
 
 class Pair:
-    """One memo per side, plus what whb, hb and hhb share, each computed on
-    first use: whb's classes and one set of triples.  The triples start as
-    the universe; hb prunes them in place, hhb a copy.  Both starts reach
-    hhb's fixpoint: every hhb bisimulation is an hb one, and pruning is
-    monotone.  A pair lives for one `check` or `full_matrix` call."""
+    """One memo per side, plus what pt, pb, whb, hb and hhb share, each
+    computed on first use: the code comparison, whb's classes and the
+    configuration pairs they relate, and one set of triples.  whb, hb and
+    hhb read one gate, `whb_classes`, and hold none of their own.  The
+    triples start as the universe; hb prunes them in place, hhb a copy.
+    Both starts reach hhb's fixpoint: every hhb bisimulation is an hb one,
+    and pruning is monotone.  A pair lives for one `check` or `full_matrix` call."""
 
     def __init__(self, ma: Semantics, mb: Semantics):
         self.ma, self.mb = ma, mb
@@ -451,14 +442,14 @@ class Pair:
         """Whether the two roots' moves in `mode` have the same labels, read
         without building a system: if not, the bisimulation game is lost in
         one round.  They are `Semantics.root_labels`, but in the pomset mode,
-        where they are the configurations' codes, they are compared size by
-        size (`_same_codes`) once both sides pass `semantics._refuse`."""
+        where they are the configurations' codes, they are `codes_agree`
+        once both sides pass `semantics._refuse`."""
         ma, mb = self.ma, self.mb
         if mode != MODE_POMSET:
             return ma.root_labels(mode) == mb.root_labels(mode)
         _refuse(ma.s, mode)
         _refuse(mb.s, mode)
-        return _same_codes(ma, mb)
+        return self.codes_agree
 
     @classmethod
     def of(cls, sa, sb=None):
@@ -472,44 +463,84 @@ class Pair:
         return cls(ma, ma if sb == sa else Semantics.of(sb))
 
     @cached_property
-    def classes(self):
+    def codes_agree(self):
+        """Whether the two memos' configurations have the same pomset codes.
+        A code fixes its poset's size, so the sets are equal iff they are
+        equal size by size (`Semantics.sized_codes`): the sizes are compared
+        in order, after the largest, and no configuration past the first
+        size that differs is coded.  Both sides' configurations are listed
+        first, left then right.  One memo on both sides agrees with itself."""
+        ma, mb = self.ma, self.mb
+        if ma is mb:
+            return True
+        top = ma.configurations[-1].bit_count()
+        if top != mb.configurations[-1].bit_count():
+            return False
+        return all(ma.sized_codes(k) == mb.sized_codes(k) for k in range(top + 1))
+
+    @cached_property
+    def whb_classes(self):
         """Class ids of both sides' interleaving states under one table, each
-        state tagged with the pomset code of its configuration: equal ids iff
-        whb relates the two configurations."""
-        table = {}
-        out = []
+        state tagged with the pomset code of its configuration, when whb
+        holds; else None.  whb implies ib and pt, so it fails with no system
+        and no class pass when the interleaving roots' move labels differ
+        (`roots_agree`) or the code sets do (`codes_agree`): the attacker
+        then plays the interleaving path to a configuration whose pomset the
+        other side lacks.  Otherwise one rank pass over both systems gives
+        equal ids iff whb relates the two states, and whb holds iff the
+        roots' ids are equal."""
+        if not (self.roots_agree(MODE_INTERLEAVING) and self.codes_agree):
+            return None
+        table, cls = {}, []
         for m in (self.ma, self.mb):
             lts = m.lts(MODE_INTERLEAVING)
             tags = [table.setdefault(m.code(x), len(table)) for x in lts.states]
-            out.append(_classes(lts, table, tags))
-        return tuple(out)
+            cls.append(_classes(lts, table, tags))
+        return tuple(cls) if cls[0][0] == cls[1][0] else None
+
+    @cached_property
+    def whb_pairs(self):
+        """The sorted (X, Y) configuration pairs that whb relates, listed
+        from `whb_classes` for a witness or the triples; () when whb fails."""
+        ca, cb = self.whb_classes or ((), ())
+        return _class_pairs(self.ma.configurations, ca, self.mb.configurations, cb)
 
     @cached_property
     def triples(self):
-        """`_hp_universe`, then hb's survivors once hb has run."""
-        return _hp_universe(self)
+        """The triples (X, Y, f) with whb relating X and Y (`whb_pairs`) and
+        f an isomorphism poset(X) -> poset(Y), stored as the tuple of images
+        of X's events in ascending id order; hb's survivors once hb has run.
+
+        The (X, Y) pairs of any history preserving bisimulation form a whb
+        bisimulation, so no member of the hb or hhb fixpoint is missing.
+        Raises `SizeLimit` as soon as there are more than `MAX_TRIPLES`.
+        """
+        ma, mb = self.ma, self.mb
+        triples = set()
+        for x, y in self.whb_pairs:
+            for ftuple in _enumerate_isos(ma.s, mb.s, x, y):
+                triples.add((x, y, ftuple))
+                if len(triples) > MAX_TRIPLES:
+                    raise SizeLimit(f"at least {len(triples)} history-preserving triples; "
+                                    f"limit is {MAX_TRIPLES}")
+        return triples
 
 
 def whb_equiv(sa: EventStructure, sb: EventStructure = None, *, witness=False):
     """Weak history preserving bisimilarity.
 
     Bisimilarity of the interleaving systems through configuration pairs
-    with isomorphic posets: one rank pass over both systems, each state
-    tagged with the pomset code of its configuration.  whb implies ib, so
-    when the interleaving roots' move labels differ it fails without the
-    pass and without a system (`Pair.roots_agree`).
+    with isomorphic posets: it holds iff `Pair.whb_classes` is not None,
+    and the pairs of equal class (`Pair.whb_pairs`) are listed only for the
+    witness.  The pass behind the classes runs only when neither the
+    interleaving roots' move labels nor the code sets refute whb.
     """
     pair = Pair.of(sa, sb)
-    if not pair.roots_agree(MODE_INTERLEAVING):
-        return (False, None) if witness else False
-    ca, cb = pair.classes
-    verdict = ca[0] == cb[0]
+    related = pair.whb_classes is not None
     if not witness:
-        return verdict
-    if verdict:
-        members = _class_pairs(pair.ma.configurations, ca, pair.mb.configurations, cb)
-        return True, RelationWitness(kind="weak-history-bisimulation", members=members)
-    return False, None
+        return related
+    kind = "weak-history-bisimulation"
+    return related, (RelationWitness(kind=kind, members=pair.whb_pairs) if related else None)
 
 
 def _enumerate_isos(sa, sb, x, y):
@@ -547,33 +578,6 @@ def _enumerate_isos(sa, sb, x, y):
             del mapping[e]
 
     return rec(0)
-
-
-def _hp_universe(pair: Pair):
-    """The triples (X, Y, f) with whb relating X and Y and f an isomorphism
-    poset(X) -> poset(Y), stored as the tuple of images of X's events in
-    ascending id order; empty when whb fails at the roots, and then, when
-    the interleaving roots' move labels already differ, read without whb's
-    classes.
-
-    The (X, Y) pairs of any history preserving bisimulation form a whb
-    bisimulation, so no member of the hb or hhb fixpoint is missing.
-    Raises `SizeLimit` as soon as there are more than `MAX_TRIPLES`.
-    """
-    ma, mb = pair.ma, pair.mb
-    triples = set()
-    if not pair.roots_agree(MODE_INTERLEAVING):
-        return triples
-    ca, cb = pair.classes
-    if ca[0] != cb[0]:
-        return triples
-    for x, y in _class_pairs(ma.configurations, ca, mb.configurations, cb):
-        for ftuple in _enumerate_isos(ma.s, mb.s, x, y):
-            triples.add((x, y, ftuple))
-            if len(triples) > MAX_TRIPLES:
-                raise SizeLimit(f"at least {len(triples)} history-preserving triples; "
-                                f"limit is {MAX_TRIPLES}")
-    return triples
 
 
 def _insert_image(x, ftuple, e, f):
@@ -701,8 +705,10 @@ def check(rel: Relation, sa: EventStructure, sb: EventStructure = None, *, witne
     False with the depth-1 line that `_bisim_line` would give, and no
     system is built.  For pb they are the configurations' codes, compared
     size by size, and read in full only for the witness.  whb, hb and hhb
-    fail at once when the interleaving roots' labels differ, since each
-    implies ib; else whb's classes pick hb's and hhb's triples."""
+    read one gate (`Pair.whb_classes`): each implies ib and pt, so all three
+    fail at once, with no system, class pass or triple, when the
+    interleaving roots' labels or the code sets differ; else whb's classes
+    pick hb's and hhb's triples."""
     pair = Pair.of(sa, sb)
     ma, mb = pair.ma, pair.mb
     mode = _MODE_OF.get(rel)

@@ -17,7 +17,11 @@ its level is skipped without being canonized.
 
 Buckets of cheap language invariants cut the quadratic pair testing; a
 bucket key holds only the finest trace invariant the chosen coarse
-relation implies, so bucketing never loses a qualifying pair.
+relation implies, so bucketing by it never loses a qualifying pair.  The
+source-deleted multiset of `sdm_filter` is no such invariant: it adds a
+requirement to the question, so a search with it may miss pairs that the
+same search without it finds, and its certificate proves nothing about
+those.
 
 Keying, and grouping by ib, sb or pb, build no transition system:
 `_LanguageTable.root` gives a root its bisimulation class in any mode by a

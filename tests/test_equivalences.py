@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from collections import Counter
@@ -40,6 +41,7 @@ from oracles import (
     o_distinguishing_depth,
     o_hb,
     o_hhb,
+    o_whb,
     o_whb_relation,
 )
 
@@ -388,14 +390,16 @@ class TestDispatch:
             # ib, sb and pb run the class pass only when the roots offer the
             # same move labels, and build a system of their mode only then;
             # whb builds the interleaving one for its tagged class pass, run
-            # once per side, only when the interleaving roots agree
+            # once per side, only when the interleaving roots agree and the
+            # configurations' code sets, the pomset roots' labels, are equal
             agree = {m: labels_at_root(left, m) == labels_at_root(right, m) for m in MODES}
             for mode in MODES:
                 assert calls.pop(("build_lts", mode), 0) == (
                     (1 if left == right else 2) if agree[mode] else 0
                 )
                 seen_agree[mode].add(agree[mode])
-            assert calls.pop("tagged _classes", 0) == (2 if agree[MODE_INTERLEAVING] else 0)
+            gated = agree[MODE_INTERLEAVING] and agree[MODE_POMSET]
+            assert calls.pop("tagged _classes", 0) == (2 if gated else 0)
             assert calls == once + Counter({("bisim", m): 1 for m in MODES if agree[m]})
         assert all(seen == {True, False} for seen in seen_agree.values())
 
@@ -476,9 +480,9 @@ class TestRootRefutation:
 class TestLazyDeciders:
     """`check` decides it and st by a subset search over the memos' moves,
     and whb, hb and hhb fail at once when the interleaving roots' move
-    labels differ; its verdicts and witnesses must be those of the deciders
-    over fully built systems, on the pairs the new paths cut short and the
-    others."""
+    labels or the configurations' code sets differ; its verdicts and
+    witnesses must be those of the deciders over fully built systems, on
+    the pairs the new paths cut short and the others."""
 
     @staticmethod
     def pairs(seed, structure_class):
@@ -514,7 +518,7 @@ class TestLazyDeciders:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_whb_equals_the_tagged_class_pass_over_built_systems(self, seed, structure_class):
         pairs = self.pairs(seed, structure_class)
-        refuted = 0
+        paths = Counter()
         for left, right in pairs:
             table, cls, sems = {}, [], (Semantics(left), Semantics(right))
             for m in sems:
@@ -526,15 +530,54 @@ class TestLazyDeciders:
             full = (ok, eq.RelationWitness("weak-history-bisimulation", members) if ok else None)
             assert check(R.WHB, left, right) == ok
             assert check(R.WHB, left, right, witness=True) == full
-            refuted += eq.Pair.of(left, right).roots_agree(MODE_INTERLEAVING) is False
-        # both paths are taken
-        assert 0 < refuted < len(pairs)
+            pair = eq.Pair.of(left, right)
+            if not pair.roots_agree(MODE_INTERLEAVING):
+                paths["roots"] += 1
+            elif not pair.codes_agree:
+                paths["codes"] += 1
+            else:
+                paths["pass"] += 1
+        # all three paths are taken
+        assert set(paths) == {"roots", "codes", "pass"}
 
     def test_refuted_roots_build_nothing_for_the_history_relations(self, monkeypatch):
-        # a;b against b;a: the interleaving roots offer a against b
-        left, right = from_expr("a;b"), from_expr("b;a")
+        # a;b against b;a: the interleaving roots offer a against b;
+        # a;a against a||a: the roots agree on a, the codes differ at size 2
         monkeypatch.setattr(semantics, "build_lts", None)
         monkeypatch.setattr(eq, "_classes", None)
-        for rel in (R.WHB, R.HB, R.HHB):
-            assert check(rel, left, right) is False
-            assert check(rel, left, right, witness=True) == (False, None)
+        for left, right in ((from_expr("a;b"), from_expr("b;a")),
+                            (from_expr("a;a"), from_expr("a||a"))):
+            for rel in (R.WHB, R.HB, R.HHB):
+                assert check(rel, left, right) is False
+                assert check(rel, left, right, witness=True) == (False, None)
+
+    def test_whb_verdict_lists_no_configuration_pairs(self, monkeypatch):
+        # an antichain against itself: all size-k configurations share a
+        # class, so listing the related pairs grows with C(2n, n); the
+        # verdict reads the classes only, and one memo's codes agree unread
+        s = from_expr("||".join("a" * 6))
+        members = check(R.WHB, s, s, witness=True)[1].members
+        assert len(members) == math.comb(12, 6)
+        monkeypatch.setattr(eq, "_class_pairs", None)
+        assert check(R.WHB, s, s) is True
+        monkeypatch.setattr(Semantics, "sized_codes", None)
+        assert check(R.PT, s, s) is True
+        assert check(R.WHB, s, s) is True
+
+    @pytest.mark.parametrize("structure_class", ["pes", "cs", "ees"])
+    def test_code_gate_agrees_with_the_oracles(self, structure_class):
+        # whb, hb and hhb are refuted by the code sets alone when the
+        # interleaving roots agree; the oracles decide them without that gate
+        gated = 0
+        for alphabet in (1, 2):
+            for seed in (1, 2):
+                spec = CorpusSpec(structure_class, 40, 5, alphabet=alphabet, seed=seed)
+                for _, left, _, right in corpus_pairs(spec):
+                    pair = eq.Pair.of(left, right)
+                    if not pair.roots_agree(MODE_INTERLEAVING) or pair.codes_agree:
+                        continue
+                    gated += 1
+                    for rel, oracle in ((R.WHB, o_whb), (R.HB, o_hb), (R.HHB, o_hhb)):
+                        assert check(rel, left, right) is False
+                        assert oracle(left, right) is False
+        assert gated > 0

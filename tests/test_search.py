@@ -401,6 +401,19 @@ class TestSearch:
                     results.append(("none", err.max_events))
             assert results[0] == results[1], (coarse, fine)
 
+    def test_sdm_filter_narrows_the_question(self):
+        # the source-deleted multiset is a requirement added to the bucket
+        # key, not an invariant of the coarse relation: a||a and a;a are it
+        # related and st separated, but delete a minimal event from each and
+        # the multisets differ, so with the filter no pair is found
+        found = find_minimal_pairs(SearchSpec(coarse=R.IT, fine=R.ST, max_events=3))
+        assert found.size == 2 and len(found.pairs) == 1
+        with pytest.raises(NoPairFound) as err:
+            find_minimal_pairs(
+                SearchSpec(coarse=R.IT, fine=R.ST, max_events=3, sdm_filter=True)
+            )
+        assert err.value.certificate.splitlines()[-1] == "exhausted all sizes up to 3: no pair"
+
     def test_smallest_it_not_ib_pair_two_labels(self):
         # the minimum is well below the classic 8-event example
         res = find_minimal_pairs(
