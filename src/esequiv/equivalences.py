@@ -22,7 +22,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 
 from .errors import ModeMismatch, SizeLimit, SpectrumViolation, ValidationError
 from .semantics import (
@@ -359,46 +359,75 @@ def bisim(la: Lts, lb: Lts, *, witness=False):
     if ok:
         members = _class_pairs(la.states, ca, lb.states, cb)
         return True, RelationWitness(kind=f"{la.mode}-bisimulation", members=members)
-    return False, _bisim_line(la, lb, ca, cb)
+    line = _bisim_line(
+        la.successors.__getitem__, lb.successors.__getitem__, la.states, lb.states,
+        lambda x, y: ca[x] == cb[y],
+    )
+    return False, line
 
 
-def _bisim_line(la: Lts, lb: Lts, cls_a, cls_b):
-    """Attacker line from the roots down a class mismatch to a stuck side.
+def _labels(moves):
+    """The set of the labels of (label, target) moves."""
+    return {label for label, _ in moves}
 
-    Each move attains the distinguishing depth of its pair of state indices
-    (the fewest moves the attacker needs to win, computed only where the
-    line goes) and takes the least deep answer, so the line is no longer
-    than the roots' depth.  The lost position is given as masks.
+
+def _unmatched(moves_a, moves_b):
+    """The first attacker move that no answer matches, left moves first,
+    each side's in its sorted order: (side, label), else None."""
+    la, lb = _labels(moves_a), _labels(moves_b)
+    left = (("left", label) for label, _ in moves_a if label not in lb)
+    right = (("right", label) for label, _ in moves_b if label not in la)
+    return next(chain(left, right), None)
+
+
+def _bisim_line(moves_a, moves_b, states_a, states_b, same):
+    """Attacker line from the roots down a class mismatch to a stuck side;
+    the one routine that builds a `GameWitness`.
+
+    Each side is given by its moves function, state index -> sorted (label,
+    target) moves, and its states' masks, as `_trace_search` reads them;
+    `same(x, y)` tells whether two state indices are in one class.  At each
+    position the attacker first takes a move no answer matches
+    (`_unmatched`), reading no class, so `same` is never called where a
+    side is stuck.  Otherwise each move attains the distinguishing depth of
+    its pair (the fewest moves the attacker needs to win, computed only
+    where the line goes) and takes the least deep answer, so the line is
+    no longer than the roots' depth; a stuck move has depth 1, the least,
+    so taking it first changes no line.  The lost position is given as
+    masks.
     """
-    sa, sb = la.successors, lb.successors
     memo = {}
 
     def options(x, y):  # (mover, label, pairs an answer reaches) per attacker move
-        for label, x2 in sa[x]:
-            yield "left", label, [(x2, y2) for lab, y2 in sb[y] if lab == label]
-        for label, y2 in sb[y]:
-            yield "right", label, [(x2, y2) for lab, x2 in sa[x] if lab == label]
+        sa, sb = moves_a(x), moves_b(y)
+        for label, x2 in sa:
+            yield "left", label, [(x2, y2) for lab, y2 in sb if lab == label]
+        for label, y2 in sb:
+            yield "right", label, [(x2, y2) for lab, x2 in sa if lab == label]
 
     def value(answers):
         return 1 + max(map(depth, answers), default=0)
 
     def depth(pair):
-        if cls_a[pair[0]] == cls_b[pair[1]]:
+        if same(*pair):
             return math.inf
         if pair not in memo:
             memo[pair] = min(value(answers) for _, _, answers in options(*pair))
         return memo[pair]
 
     pair, moves = (0, 0), []
-    while True:
+    while (stuck := _unmatched(moves_a(pair[0]), moves_b(pair[1]))) is None:
         goal = depth(pair)
         side, label, answers = next(o for o in options(*pair) if value(o[2]) == goal)
         moves.append((side, label))
-        if not answers:
-            stuck = "right" if side == "left" else "left"
-            position = (la.states[pair[0]], lb.states[pair[1]])
-            return GameWitness(tuple(moves), stuck_side=stuck, stuck_label=label, position=position)
         pair = min(answers, key=depth)
+    side, label = stuck
+    return GameWitness(
+        tuple(moves) + (stuck,),
+        stuck_side="right" if side == "left" else "left",
+        stuck_label=label,
+        position=(states_a[pair[0]], states_b[pair[1]]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -441,12 +470,15 @@ class Pair:
     def roots_agree(self, mode):
         """Whether the two roots' moves in `mode` have the same labels, read
         without building a system: if not, the bisimulation game is lost in
-        one round.  They are `Semantics.root_labels`, but in the pomset mode,
-        where they are the configurations' codes, they are `codes_agree`
+        one round.  In the interleaving and step modes they are the labels
+        of the memos' `moves(0, mode)`.  In the pomset mode they are the
+        nonempty configurations' codes, since every configuration is one
+        pomset move from the root, and the empty one's code is every
+        structure's: so they agree iff `codes_agree`, read size by size
         once both sides pass `semantics._refuse`."""
         ma, mb = self.ma, self.mb
         if mode != MODE_POMSET:
-            return ma.root_labels(mode) == mb.root_labels(mode)
+            return _labels(ma.moves(0, mode)) == _labels(mb.moves(0, mode))
         _refuse(ma.s, mode)
         _refuse(mb.s, mode)
         return self.codes_agree
@@ -590,20 +622,19 @@ def _remove_image(x, ftuple, e):
     return ftuple[:pos] + ftuple[pos + 1 :]
 
 
-def _image_of(x, ftuple, mask):
-    out = 0
-    for pos, e in enumerate(_bits(x)):
-        if (mask >> e) & 1:
-            out |= 1 << ftuple[pos]
-    return out
-
-
 def _hp_fixpoint(pair: Pair, hereditary, *, witness=False):
     """hb's (or hhb's) greatest fixpoint, pruned from the pair's triples: in
     place for hb, from a copy for hhb.  Pruning stops once the roots' triple
-    is dead, so the triples left may exceed the fixpoint, never miss it."""
+    is dead, so the triples left may exceed the fixpoint, never miss it.
+
+    A move e on the left is answered by f on the right iff the triple
+    extended by e -> f is alive.  Membership alone decides it: every live
+    triple is in `Pair.triples`, which holds only isomorphisms, so e and f
+    have equal labels and the extended map takes e's causes onto f's.  No
+    label and no cause row is read; `up` is read only for hhb's backward
+    moves, which remove an event maximal in poset(X)."""
     ma, mb = pair.ma, pair.mb
-    sa, sb = ma.s, mb.s
+    up = ma.s.up
     alive = set(pair.triples) if hereditary else pair.triples
     en_a, en_b = ma.enabled, mb.enabled
     root = (0, 0, ())
@@ -612,11 +643,7 @@ def _hp_fixpoint(pair: Pair, hereditary, *, witness=False):
         x, y, ftuple = triple
 
         def match(e, f):  # e and f extend the triple to a live one
-            return (
-                sa.labels[e] == sb.labels[f]
-                and _image_of(x, ftuple, sa.down[e]) == sb.down[f]
-                and (x | 1 << e, y | 1 << f, _insert_image(x, ftuple, e, f)) in alive
-            )
+            return (x | 1 << e, y | 1 << f, _insert_image(x, ftuple, e, f)) in alive
 
         if not all(any(match(e, f) for f in en_b[y]) for e in en_a[x]):
             return False
@@ -624,7 +651,7 @@ def _hp_fixpoint(pair: Pair, hereditary, *, witness=False):
             return False
         if hereditary:
             for pos, e in enumerate(_bits(x)):
-                if sa.up[e] & x:
+                if up[e] & x:
                     continue  # not maximal in poset(X)
                 sub = (x & ~(1 << e), y & ~(1 << ftuple[pos]), _remove_image(x, ftuple, e))
                 if sub not in alive:
@@ -702,31 +729,27 @@ def check(rel: Relation, sa: EventStructure, sb: EventStructure = None, *, witne
     at the first label one side lacks.  For ib, sb and pb the roots' move
     labels come first (`Pair.roots_agree`): a label one root has and the
     other lacks wins the bisimulation game in one round, so the verdict is
-    False with the depth-1 line that `_bisim_line` would give, and no
-    system is built.  For pb they are the configurations' codes, compared
-    size by size, and read in full only for the witness.  whb, hb and hhb
-    read one gate (`Pair.whb_classes`): each implies ib and pt, so all three
-    fail at once, with no system, class pass or triple, when the
-    interleaving roots' labels or the code sets differ; else whb's classes
-    pick hb's and hhb's triples."""
+    False and no system is built.  The witness is `_bisim_line` run over
+    the memos' moves, which takes that move at the roots and so reads no
+    class.  For pb the labels are the configurations' codes, compared size
+    by size; the root's pomset moves are made only for the witness.  whb,
+    hb and hhb read one gate (`Pair.whb_classes`): each implies ib and pt,
+    so all three fail at once, with no system, class pass or triple, when
+    the interleaving roots' labels or the code sets differ; else whb's
+    classes pick hb's and hhb's triples."""
     pair = Pair.of(sa, sb)
     ma, mb = pair.ma, pair.mb
     mode = _MODE_OF.get(rel)
     if mode is not None:
+        moves_a, moves_b = (lambda i: ma.moves(i, mode)), (lambda i: mb.moves(i, mode))
         if rel not in _BY_BISIM:
-            return _trace_search(
-                lambda i: ma.moves(i, mode), lambda i: mb.moves(i, mode), witness
-            )
+            return _trace_search(moves_a, moves_b, witness)
         if pair.roots_agree(mode):
             return bisim(ma.lts(mode), mb.lts(mode), witness=witness)
         if not witness:
             return False
-        left, right = ma.root_labels(mode), mb.root_labels(mode)
-        side, stuck = ("left", "right") if left - right else ("right", "left")
-        label = min(left - right or right - left)
-        return False, GameWitness(
-            ((side, label),), stuck_side=stuck, stuck_label=label, position=(0, 0)
-        )
+        # a side is stuck at the roots, so the line reads no class
+        return False, _bisim_line(moves_a, moves_b, ma.configurations, mb.configurations, None)
     if rel not in _ON_MEMOS:
         raise ValueError(f"unknown relation {rel!r}")
     return _ON_MEMOS[rel](pair, witness)

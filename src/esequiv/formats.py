@@ -22,6 +22,7 @@ from .structure import (
     _label,
     build,
     minimal_conflict_pairs,
+    pomset_code_text,
     transitive_reduction,
 )
 
@@ -154,7 +155,7 @@ def lts_label_text(lts: Lts, label) -> str:
         return str(label)
     if lts.mode == MODE_STEP:
         return "{" + ",".join(label) + "}"
-    return label.hex()[:12]  # pomset codes; stable, compact
+    return pomset_code_text(label)
 
 
 def _lts_dot(lts: Lts) -> str:

@@ -249,32 +249,26 @@ def _keyer(spec):
     kept, and the one mode the class pass runs in, are decided here once.
     """
     coarse = spec.coarse
-    # the finest trace invariant the coarse relation implies; pt implies st
-    # and st implies it, so a coarser one would split no bucket further
-    pomsets = spec.use_filters and implies(coarse, Relation.PT)
-    fingerprint = spec.use_filters and not pomsets
     grouped = coarse in _ROOTS_AT_KEY
-    if fingerprint:
-        # sb implies st and ib does not, so this is also their class mode
-        mode = MODE_STEP if implies(coarse, Relation.ST) else MODE_INTERLEAVING
-    else:
-        mode = _MODE_OF[coarse] if grouped else None
-    # the key holds the invariant of pt, st or it, which decides that
-    # relation, so for it as the coarse relation the invariant is the class
-    if pomsets:
-        decided = coarse is Relation.PT
-    elif fingerprint:
-        decided = coarse is (Relation.ST if mode == MODE_STEP else Relation.IT)
-    else:
-        decided = False
+    # the finest trace relation the coarse relation implies, whose invariant
+    # the key holds: pt implies st and st implies it, so a coarser one would
+    # split no bucket further, and every relation implies it
+    trace = None
+    if spec.use_filters:
+        trace = next(r for r in (Relation.PT, Relation.ST, Relation.IT) if implies(coarse, r))
+    # sb implies st and ib does not, so a fingerprint's mode is also their class mode
+    mode = _MODE_OF.get(trace) or (_MODE_OF[coarse] if grouped else None)
+    # the invariant decides its relation, so for it as the coarse relation
+    # the invariant is the class
+    decided = coarse is trace
     sdm = spec.sdm_filter
 
     def key_of(sem, table):
         key = [tuple(sorted(sem.s.labels))]
         root = table.root(sem, mode) if mode else None
-        if pomsets:
+        if trace is Relation.PT:
             key.append(sem.codes)
-        elif fingerprint:
+        elif trace is not None:
             key.append(table.language((root,)))
         if sdm:
             key.append(source_deleted_multiset(sem))

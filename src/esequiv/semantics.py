@@ -250,19 +250,6 @@ class Semantics:
             got = self._sized[k] = frozenset(map(self.code, self._by_size[k]))
         return got
 
-    def root_labels(self, mode: str):
-        """Labels of the root's moves in `mode`, read without building a
-        system: a label one root has and the other lacks wins the
-        bisimulation game in one round.  They are the labels of the root's
-        `moves`, or in the pomset mode `codes`, since every configuration is
-        one pomset move from the root (the empty one's code is every
-        structure's).  Raises what `build_lts` raises first, then its bounds
-        as far as the root needs."""
-        if mode == MODE_POMSET:
-            _refuse(self.s, mode)
-            return self.codes
-        return frozenset([label for label, _ in self.moves(0, mode)])
-
     def moves(self, i: int, mode: str):
         """The sorted (label, target index) moves in `mode` of the i-th
         configuration (of `configurations`; 0 is the root), made by `_moves`

@@ -223,6 +223,29 @@ def _labelled_canon(labels, down, cf):
     return enc + b"|" + b"\x00".join(lbl.encode() for lbl in table), perm
 
 
+def pomset_code_text(code: bytes) -> str:
+    """A pomset code (`_labelled_canon` of a labelled poset) as text: its
+    event count, its labels in canonical position order, then its cover
+    pairs, e.g. ``3: a a b 0<2 1<2``.  The blocks before the label table
+    are measured from the count, as canon's encoding lays them out, so a
+    label holding ``|`` reads back whole.  Labels hold no space, so equal
+    texts mean equal codes."""
+    n = code[0]
+    order_end = 1 + n + (n * n + 7) // 8
+    start = order_end + (n * (n - 1) // 2 + 7) // 8 + 1  # past the "|"
+    table = code[start:].decode().split("\x00")
+    # row i, column j at bit i * n + j: position i is below position j
+    bits = "".join(f"{byte:08b}" for byte in code[1 + n : order_end])
+    below = [[bits[i * n + j] == "1" for j in range(n)] for i in range(n)]
+    covers = [
+        f"{i}<{j}"
+        for i in range(n)
+        for j in range(n)
+        if below[i][j] and not any(below[i][k] and below[k][j] for k in range(n))
+    ]
+    return " ".join([f"{n}:"] + [table[rank] for rank in code[1 : 1 + n]] + covers)
+
+
 def isomorphic(s: EventStructure, t: EventStructure):
     """Decide isomorphism; on success also return a witness bijection s -> t."""
     if s.n != t.n or sorted(s.labels) != sorted(t.labels):

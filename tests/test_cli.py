@@ -163,9 +163,9 @@ LTS_MOVES = {
         (1, "{b}", 4), (2, "{a}", 4), (3, "{b}", 5),
     ],
     "p": [
-        (0, "0100007c61", 1), (0, "0100007c61", 3), (0, "0100007c62", 2),
-        (0, "02000100007c", 4), (0, "02000140007c", 5),
-        (1, "0100007c62", 4), (2, "0100007c61", 4), (3, "0100007c62", 5),
+        (0, "1: a", 1), (0, "1: a", 3), (0, "1: b", 2),
+        (0, "2: a b", 4), (0, "2: a b 0<1", 5),
+        (1, "1: b", 4), (2, "1: a", 4), (3, "1: b", 5),
     ],
 }
 

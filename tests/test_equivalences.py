@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import time
@@ -462,6 +463,20 @@ class TestRootRefutation:
         ok, wit = check(R.PB, chain, atoms, witness=True)
         assert not ok and wit.moves[0][0] == "left" and wit.stuck_side == "right"
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_stuck_side_reads_no_class(self, mode):
+        # a side stuck at the position: the line ends there without `same`
+        def same(x, y):
+            raise AssertionError(f"class of {(x, y)} read at a stuck position")
+
+        for left, right, side in (("a;b", "b", "left"), ("b", "a||b", "right")):
+            la, lb = lts(left, mode), lts(right, mode)
+            wit = eq._bisim_line(
+                la.successors.__getitem__, lb.successors.__getitem__, la.states, lb.states, same
+            )
+            assert wit == bisim(la, lb, witness=True)[1]
+            assert wit.moves == ((side, wit.stuck_label),) and wit.position == (0, 0)
+
     def test_step_traces_refute_before_the_transition_bound(self, monkeypatch):
         atoms = from_expr("||".join(["a"] * 12))
         chain = from_expr(";".join(["a"] * 12))
@@ -581,3 +596,28 @@ class TestLazyDeciders:
                         assert check(rel, left, right) is False
                         assert oracle(left, right) is False
         assert gated > 0
+
+
+class TestWitnessPin:
+    """Verdicts and witnesses of every relation over a fixed set of pairs,
+    pinned as one digest: a change that moves any verdict or witness line
+    changes it."""
+
+    def test_verdicts_and_witnesses_are_pinned(self):
+        pairs = []
+        for structure_class in ("pes", "cs", "ees"):
+            for seed in (1, 2):
+                spec = CorpusSpec(structure_class, 150, 7, alphabet=2, seed=seed)
+                pairs += [(left, right) for _, left, _, right in corpus_pairs(spec)]
+        pairs += [(fx.left, fx.right) for fx in builtin_fixtures()]
+        assert len(pairs) == 908
+        digest = hashlib.sha256()
+        for left, right in pairs:
+            m = full_matrix(left, right, witness=True)
+            digest.update(repr((m.verdicts, m.witnesses)).encode())
+            for rel in MATRIX_ORDER:
+                digest.update(repr(check(rel, left, right, witness=True)).encode())
+        assert digest.hexdigest() == (
+            "83bd161d3f9cdbfd188350772127e3880d5518e7e210135554c6bc1a3eb5fc19"
+        )
+

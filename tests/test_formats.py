@@ -5,9 +5,10 @@ import pytest
 
 from esequiv.algebra import from_expr
 from esequiv.errors import CycleInCausality, ParseError
-from esequiv.formats import dumps_es, export_dot, loads_es, read_es, write_es
+from esequiv.formats import dumps_es, export_dot, loads_es, lts_label_text, read_es, write_es
+from esequiv.search import enumerate_posets
 from esequiv.semantics import build_lts
-from esequiv.structure import build, relabel
+from esequiv.structure import build, canonical_form, pomset_code_text, relabel
 
 from conftest import ODD_LABELS, random_structure
 
@@ -165,3 +166,30 @@ class TestDot:
     def test_rejects_other_types(self):
         with pytest.raises(TypeError):
             export_dot(42)
+
+
+class TestPomsetLabelText:
+    def test_five_event_pomsets_print_apart(self):
+        texts = []
+        for term in ("a;a;a;a;a", "a||a||a||a||a", "(a;a)||(a;a;a)"):
+            lts = build_lts(from_expr(term), "pomset")
+            # the root's move to the full configuration
+            label = next(lab for lab, j in lts.successors[0] if j == len(lts.states) - 1)
+            texts.append(lts_label_text(lts, label))
+        assert texts == [
+            "5: a a a a a 0<1 1<2 2<3 3<4",
+            "5: a a a a a",
+            "5: a a a a a 0<2 1<3 3<4",
+        ]
+
+    def test_injective_on_odd_labels(self):
+        rng = random.Random(7)
+        codes = {canonical_form(build(0, []))}
+        for n in range(1, 5):
+            for poset in enumerate_posets(n, 3):
+                for _ in range(2):
+                    names = dict(zip("abc", rng.sample(ODD_LABELS, 3)))
+                    codes.add(canonical_form(relabel(poset, names)))
+        texts = {pomset_code_text(code) for code in codes}
+        assert len(texts) == len(codes)
+
