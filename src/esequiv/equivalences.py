@@ -12,7 +12,8 @@ preserving relations by greatest fixpoints over triples carrying an
 explicit poset isomorphism, built only for the configuration pairs that
 whb relates.  One `Pair` per call holds what these share, each computed
 once: the code comparison, whb's configuration pairs, and one set of
-triples that hb prunes in place and hhb prunes from a copy.
+triples that hb prunes in place and hhb prunes from a copy.  Every
+decider reads the memos' moves; no verdict builds an `Lts`.
 """
 
 from __future__ import annotations
@@ -201,21 +202,22 @@ def _after(moves_of, subset):
 # ---------------------------------------------------------------------------
 
 
-def _classes(lts: Lts, table, tags=None):
-    """Bisimulation class id of every state of `lts`, in state order, by one
-    bottom-up pass (the well-founded case of Dovier, Piazza & Policriti, TCS
-    2004): states are sorted by size, so reversed order takes successors
-    first.  Labels are interned in `table` in state order, and each state's
-    class by `_class_id`, so states of all systems sharing a table get equal
-    ids iff bisimilar.  With `tags`, a state's signature also holds
-    `tags[v]`: equal ids mean bisimilar through states of equal tags."""
-    succ = [
-        [(table.setdefault(label, len(table)), j) for label, j in moves]
-        for moves in lts.successors
-    ]
-    cls = [None] * len(succ)
-    for v in reversed(range(len(succ))):
-        cls[v] = _class_id(table, succ[v], cls, None if tags is None else tags[v])
+def _classes(moves, count, table, tag=None):
+    """Bisimulation class id of each state 0..count-1 of a system given by
+    its moves function, as `_trace_search` reads it, by one bottom-up pass
+    (the well-founded case of Dovier, Piazza & Policriti, TCS 2004): states
+    are sorted by size, so reversed order takes successors first.  All
+    moves are made first, in state order, so past `MAX_TRANSITIONS` the
+    pass raises `build_lts`'s message.  Labels are interned in `table` in
+    state order, and each state's class by `_class_id`, so states of all
+    systems sharing a table get equal ids iff bisimilar.  With `tag`, state
+    v's signature also holds `tag(v)`: equal ids mean bisimilar through
+    states of equal tags."""
+    made = [moves(v) for v in range(count)]
+    succ = [[(table.setdefault(label, len(table)), j) for label, j in m] for m in made]
+    cls = [None] * count
+    for v in reversed(range(count)):
+        cls[v] = _class_id(table, succ[v], cls, None if tag is None else tag(v))
     return cls
 
 
@@ -351,19 +353,26 @@ def bisim(la: Lts, lb: Lts, *, witness=False):
     """Bisimilarity of the two rooted systems under their (common) mode."""
     if la.mode != lb.mode:
         raise ModeMismatch(f"cannot compare {la.mode} with {lb.mode}")
+    return _bisim(
+        la.successors.__getitem__, lb.successors.__getitem__, la.states, lb.states,
+        la.mode, witness,
+    )
+
+
+def _bisim(moves_a, moves_b, states_a, states_b, mode, witness):
+    """Bisimilarity in `mode` of two systems given as `_bisim_line` reads
+    them: a class pass per side under one table; the pairs of equal class
+    back a positive verdict, an attacker line a negative one."""
     table = {}
-    ca, cb = _classes(la, table), _classes(lb, table)
+    ca = _classes(moves_a, len(states_a), table)
+    cb = _classes(moves_b, len(states_b), table)
     ok = ca[0] == cb[0]  # the roots
     if not witness:
         return ok
     if ok:
-        members = _class_pairs(la.states, ca, lb.states, cb)
-        return True, RelationWitness(kind=f"{la.mode}-bisimulation", members=members)
-    line = _bisim_line(
-        la.successors.__getitem__, lb.successors.__getitem__, la.states, lb.states,
-        lambda x, y: ca[x] == cb[y],
-    )
-    return False, line
+        members = _class_pairs(states_a, ca, states_b, cb)
+        return True, RelationWitness(kind=f"{mode}-bisimulation", members=members)
+    return False, _bisim_line(moves_a, moves_b, states_a, states_b, lambda x, y: ca[x] == cb[y])
 
 
 def _labels(moves):
@@ -518,16 +527,18 @@ class Pair:
         and no class pass when the interleaving roots' move labels differ
         (`roots_agree`) or the code sets do (`codes_agree`): the attacker
         then plays the interleaving path to a configuration whose pomset the
-        other side lacks.  Otherwise one rank pass over both systems gives
-        equal ids iff whb relates the two states, and whb holds iff the
-        roots' ids are equal."""
+        other side lacks.  Otherwise one rank pass over both memos' moves
+        gives equal ids iff whb relates the two states, and whb holds iff
+        the roots' ids are equal."""
         if not (self.roots_agree(MODE_INTERLEAVING) and self.codes_agree):
             return None
         table, cls = {}, []
         for m in (self.ma, self.mb):
-            lts = m.lts(MODE_INTERLEAVING)
-            tags = [table.setdefault(m.code(x), len(table)) for x in lts.states]
-            cls.append(_classes(lts, table, tags))
+            states = m.configurations
+            cls.append(_classes(
+                lambda i: m.moves(i, MODE_INTERLEAVING), len(states), table,
+                lambda v: table.setdefault(m.code(states[v]), len(table)),
+            ))
         return tuple(cls) if cls[0][0] == cls[1][0] else None
 
     @cached_property
@@ -694,8 +705,8 @@ def _iso(ma: Semantics, mb: Semantics, *, witness=False):
 # dispatch and the full matrix
 # ---------------------------------------------------------------------------
 
-#: relations decided on one transition system per side: trace equivalence
-#: for it and st, bisimulation for the others
+#: relations decided on one mode's moves per side: trace equivalence for it
+#: and st, bisimulation for the others
 _MODE_OF = {
     Relation.IT: MODE_INTERLEAVING,
     Relation.IB: MODE_INTERLEAVING,
@@ -722,21 +733,21 @@ def check(rel: Relation, sa: EventStructure, sb: EventStructure = None, *, witne
     """Decide one relation between two structures (or memos of them, or
     one `Pair`).
 
-    Each relation builds a transition system, or reads a full set of
-    pomset codes, only when its verdict cannot be had without it.  it and
-    st run one subset search over the two memos' moves (`_trace_search`),
-    which makes the moves of only the configurations it reaches and stops
-    at the first label one side lacks.  For ib, sb and pb the roots' move
-    labels come first (`Pair.roots_agree`): a label one root has and the
-    other lacks wins the bisimulation game in one round, so the verdict is
-    False and no system is built.  The witness is `_bisim_line` run over
-    the memos' moves, which takes that move at the roots and so reads no
+    No relation builds a transition system: each reads the memos' moves,
+    and makes every one, or reads a full set of pomset codes, only when
+    its verdict cannot be had without it.  it and st run one subset search
+    (`_trace_search`), which makes the moves of only the configurations it
+    reaches and stops at the first label one side lacks.  For ib, sb and
+    pb the roots' move labels come first (`Pair.roots_agree`): a label one
+    root has and the other lacks wins the bisimulation game in one round,
+    so the verdict is False and no class pass runs.  The witness is
+    `_bisim_line`, which takes that move at the roots and so reads no
     class.  For pb the labels are the configurations' codes, compared size
     by size; the root's pomset moves are made only for the witness.  whb,
     hb and hhb read one gate (`Pair.whb_classes`): each implies ib and pt,
-    so all three fail at once, with no system, class pass or triple, when
-    the interleaving roots' labels or the code sets differ; else whb's
-    classes pick hb's and hhb's triples."""
+    so all three fail at once, with no class pass or triple, when the
+    interleaving roots' labels or the code sets differ; else whb's classes
+    pick hb's and hhb's triples."""
     pair = Pair.of(sa, sb)
     ma, mb = pair.ma, pair.mb
     mode = _MODE_OF.get(rel)
@@ -745,7 +756,7 @@ def check(rel: Relation, sa: EventStructure, sb: EventStructure = None, *, witne
         if rel not in _BY_BISIM:
             return _trace_search(moves_a, moves_b, witness)
         if pair.roots_agree(mode):
-            return bisim(ma.lts(mode), mb.lts(mode), witness=witness)
+            return _bisim(moves_a, moves_b, ma.configurations, mb.configurations, mode, witness)
         if not witness:
             return False
         # a side is stuck at the roots, so the line reads no class

@@ -10,9 +10,11 @@ configurations:
 - pomset: add any non-empty event set H reaching another configuration,
   label = the canonical code of the induced labelled poset on H.
 
-A transition system (`Lts`) is one integer-indexed table read by every
-decider: the configurations in (size, mask) order, the empty one at index 0,
-and per state its sorted (label, target index) moves.
+The deciders read a `Semantics` memo's moves: per configuration, in
+(size, mask) order with the empty one at index 0, its sorted (label, target
+index) moves, made on first request.  A transition system (`Lts`) is the
+same table built whole, with every state's moves shared with the memo; it
+is built only where a caller asks for one (`build_lts`).
 """
 
 from __future__ import annotations
@@ -166,17 +168,17 @@ class Lts:
 class Semantics:
     """The facts about one structure that the relations read, each computed
     on first use: configurations, enabled events, pomset codes (as one set,
-    and one set per configuration size), each configuration's moves per
-    mode, and one transition system per mode.  A configuration's moves are
-    made when a decider first asks for them and kept, so a trace search
-    expands only the configurations it reaches and a system built later
-    reuses them; the moves of one memo and mode count together against
-    `MAX_TRANSITIONS`.
+    and one set per configuration size), and each configuration's moves per
+    mode.  A configuration's moves are made when a decider first asks for
+    them and kept, so a trace search expands only the configurations it
+    reaches, and a class pass or a system built later (`build_lts`) reuses
+    them; the moves of one memo and mode count together against
+    `MAX_TRANSITIONS`.  The memo caches moves, never a system.
 
     A memo lives for one call (one pair check, one search key or bucket),
     holds nothing about a pair, and is never attached to the structure or
-    kept in a module-level cache: the transition systems of a whole corpus
-    would not fit the memory budget.  Pomset codes alone are shared: `code`
+    kept in a module-level cache: the moves of a whole corpus would not fit
+    the memory budget.  Pomset codes alone are shared: `code`
     looks each one up in the process-wide `_POMSET_CODES` table, keyed by the
     induced structure with its events renumbered (`_order_key`) and bounded
     by `MAX_POMSET_CODES`, because codes are small and most of them repeat a
@@ -189,7 +191,6 @@ class Semantics:
     def __init__(self, s: EventStructure):
         self.s = s
         self._codes = {}
-        self._lts = {}
         # mode -> (per configuration index its moves or None, group -> its
         # label, the `_pomset_rows` its pomset moves are listed from, else None)
         self._listed = {}
@@ -278,12 +279,6 @@ class Semantics:
     def _index(self):
         """configuration -> its index in `configurations`."""
         return {m: i for i, m in enumerate(self.configurations)}
-
-    def lts(self, mode: str) -> Lts:
-        got = self._lts.get(mode)
-        if got is None:
-            got = self._lts[mode] = build_lts(self, mode)
-        return got
 
 
 def _order_key(s: EventStructure, mask: int):

@@ -220,41 +220,6 @@ def corpus_pairs(spec: CorpusSpec):
     ]
 
 
-# bounded versions of the infinite conflict-free families, for exploration
-# only: verdicts on truncations say nothing about the unbounded structures.
-
-
-def _chains(words) -> EventStructure:
-    """Disjoint chains, one per label word, events numbered word by word."""
-    labels = []
-    causes = []
-    for word in words:
-        base = len(labels)
-        labels.extend(word)
-        causes.extend((e, e + 1) for e in range(base, len(labels) - 1))
-    return build(len(labels), labels, causes, ())
-
-
-def triangle(k: int) -> EventStructure:
-    """k columns, column i a chain of i+1 events, all labelled a."""
-    return _chains(["a" * (i + 1) for i in range(k)])
-
-
-def grid(k: int, d: int) -> EventStructure:
-    """k columns, each a chain of d events, all labelled a."""
-    return _chains(["a" * d] * k)
-
-
-def arow(k: int) -> EventStructure:
-    """One isolated a next to k two-chains a < b."""
-    return _chains(["a"] + ["ab"] * k)
-
-
-def abrow(k: int) -> EventStructure:
-    """k two-chains a < b."""
-    return _chains(["ab"] * k)
-
-
 # ---------------------------------------------------------------------------
 # diagrams
 # ---------------------------------------------------------------------------

@@ -340,12 +340,17 @@ class TestDispatch:
             "hb_equiv", "hhb_equiv", "_iso", "_enumerate_isos",
         ):
             monkeypatch.setattr(eq, name, counting(name, getattr(eq, name)))
-        real_classes = eq._classes
+        real_bisim, real_classes, in_mode = eq._bisim, eq._classes, [None]
 
-        def classes(lts, table, tags=None):
-            calls["tagged _classes"] += tags is not None
-            return real_classes(lts, table, tags)
+        def bisim_counting(moves_a, moves_b, states_a, states_b, mode, witness):
+            in_mode[0] = mode  # the untagged class passes run inside `_bisim`
+            return real_bisim(moves_a, moves_b, states_a, states_b, mode, witness)
 
+        def classes(moves, count, table, tag=None):
+            calls["tagged _classes" if tag is not None else ("_classes", in_mode[0])] += 1
+            return real_classes(moves, count, table, tag)
+
+        monkeypatch.setattr(eq, "_bisim", bisim_counting)
         monkeypatch.setattr(eq, "_classes", classes)
         real_build = semantics.build_lts
 
@@ -388,20 +393,19 @@ class TestDispatch:
             # the pair builds the triples of every pair whb relates once, for
             # hb and hhb together, and none at all when whb fails at the roots
             assert calls.pop("_enumerate_isos", 0) == (len(wit.members) if ok else 0)
-            # ib, sb and pb run the class pass only when the roots offer the
-            # same move labels, and build a system of their mode only then;
-            # whb builds the interleaving one for its tagged class pass, run
-            # once per side, only when the interleaving roots agree and the
-            # configurations' code sets, the pomset roots' labels, are equal
+            # ib, sb and pb run the class pass over the memos' moves, once per
+            # side, only when the roots offer the same move labels; whb runs
+            # its tagged pass, once per side, only when the interleaving
+            # roots agree and the configurations' code sets, the pomset
+            # roots' labels, are equal.  No system is built, and the public
+            # `bisim` is not called
             agree = {m: labels_at_root(left, m) == labels_at_root(right, m) for m in MODES}
             for mode in MODES:
-                assert calls.pop(("build_lts", mode), 0) == (
-                    (1 if left == right else 2) if agree[mode] else 0
-                )
+                assert calls.pop(("_classes", mode), 0) == (2 if agree[mode] else 0)
                 seen_agree[mode].add(agree[mode])
             gated = agree[MODE_INTERLEAVING] and agree[MODE_POMSET]
             assert calls.pop("tagged _classes", 0) == (2 if gated else 0)
-            assert calls == once + Counter({("bisim", m): 1 for m in MODES if agree[m]})
+            assert calls == once
         assert all(seen == {True, False} for seen in seen_agree.values())
 
 
@@ -539,7 +543,9 @@ class TestLazyDeciders:
             for m in sems:
                 lts = build_lts(m, MODE_INTERLEAVING)
                 tags = [table.setdefault(m.code(x), len(table)) for x in lts.states]
-                cls.append(eq._classes(lts, table, tags))
+                cls.append(eq._classes(
+                    lts.successors.__getitem__, len(lts.states), table, tags.__getitem__
+                ))
             (ca, cb), ok = cls, cls[0][0] == cls[1][0]
             members = eq._class_pairs(sems[0].configurations, ca, sems[1].configurations, cb)
             full = (ok, eq.RelationWitness("weak-history-bisimulation", members) if ok else None)
@@ -596,6 +602,56 @@ class TestLazyDeciders:
                         assert check(rel, left, right) is False
                         assert oracle(left, right) is False
         assert gated > 0
+
+
+class TestNoSystemBuilt:
+    """Every verdict reads the memos' moves: no relation constructs an
+    `Lts`, and the class pass over the memos keeps the transition bound of
+    a built system, message for message."""
+
+    @staticmethod
+    def refuse_systems(monkeypatch):
+        def refuse(self):
+            raise AssertionError(f"a {self.mode} system was built")
+
+        monkeypatch.setattr(semantics.Lts, "__post_init__", refuse)
+
+    @pytest.mark.parametrize("structure_class", ["pes", "cs", "ees"])
+    def test_matrix_equals_the_deciders_over_built_systems(self, structure_class, monkeypatch):
+        spec = CorpusSpec(structure_class, 60, 6, alphabet=2, seed=1)
+        pairs = [(left, right) for _, left, _, right in corpus_pairs(spec)]
+        pairs += [(fx.left, fx.right) for fx in builtin_fixtures()]
+        expected = []
+        for left, right in pairs:
+            systems = {m: (build_lts(left, m), build_lts(right, m)) for m in MODES}
+            by_lts = {
+                rel: (trace_equiv if rel in (R.IT, R.ST) else bisim)(
+                    *systems[mode], witness=True
+                )
+                for rel, mode in eq._MODE_OF.items()
+            }
+            expected.append((by_lts, full_matrix(left, right, witness=True)))
+        self.refuse_systems(monkeypatch)
+        for (left, right), (by_lts, before) in zip(pairs, expected):
+            matrix = full_matrix(left, right, witness=True)
+            assert matrix == before
+            for rel, (ok, wit) in by_lts.items():
+                assert (matrix[rel], matrix.witnesses[rel]) == (ok, wit)
+
+    # the antichain of n atoms against itself: its roots agree in every mode,
+    # so the class pass reads moves until the bound refuses them
+    @pytest.mark.parametrize(
+        "rel, n", [(R.IB, 16), (R.SB, 12), (R.PB, 12), (R.WHB, 16)], ids=str
+    )
+    def test_class_pass_raises_the_message_of_a_built_system(self, rel, n, monkeypatch):
+        s = from_expr("||".join(["a"] * n))
+        mode = MODE_INTERLEAVING if rel is R.WHB else eq._MODE_OF[rel]
+        with pytest.raises(SizeLimit) as built:
+            build_lts(s, mode)
+        self.refuse_systems(monkeypatch)
+        with pytest.raises(SizeLimit) as checked:
+            check(rel, s, s)
+        assert str(checked.value) == str(built.value)
 
 
 class TestWitnessPin:

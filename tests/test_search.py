@@ -293,7 +293,9 @@ class TestResidualRoots:
         table, shared = _LanguageTable(), {}
         roots = [table.root(s, mode) for s in structures]
         systems = [build_lts(s, mode) for s in structures]
-        assert _partition(roots) == _partition(_classes(lts, shared)[0] for lts in systems)
+        assert _partition(roots) == _partition(
+            _classes(lts.successors.__getitem__, len(lts.states), shared)[0] for lts in systems
+        )
         if mode == "pomset":  # languages are read for interleaving and step classes only
             assert len(set(roots)) < len(structures)
             return
@@ -646,7 +648,10 @@ def _all_pairs_bucket(members, coarse, fine, roots=None):
         roots = None  # trace classes from a bucket key are checked pair by pair
     if roots is None and coarse in (R.IB, R.SB, R.PB):
         table = {}
-        roots = [_classes(sem.lts(_MODE_OF[coarse]), table)[0] for sem in sems]
+        systems = [build_lts(sem, _MODE_OF[coarse]) for sem in sems]
+        roots = [
+            _classes(lts.successors.__getitem__, len(lts.states), table)[0] for lts in systems
+        ]
     if roots is not None:
         by_class = {}
         for idx, root in enumerate(roots):

@@ -366,8 +366,10 @@ class TestSemanticsMemo:
                 X = frozenset(e for e in range(s.n) if mask >> e & 1)
                 assert events == sorted(o_enabled(s, X))
             for mode in (MODE_INTERLEAVING, MODE_STEP, MODE_POMSET):
-                assert sem.lts(mode) is sem.lts(mode)
-                assert sem.lts(mode) == build_lts(s, mode) == build_lts(Semantics(s), mode)
+                lts = build_lts(sem, mode)
+                assert lts == build_lts(s, mode)
+                # a built system holds the memo's own move tuples
+                assert all(moves is sem.moves(i, mode) for i, moves in enumerate(lts.successors))
             assert isinstance(sem.codes, frozenset)
             assert sem.codes == {pomset_code(poset_of(s, m)) for m in sem.configurations}
             for m in sem.configurations:

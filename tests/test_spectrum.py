@@ -9,7 +9,6 @@ import pytest
 
 from esequiv.equivalences import Relation, full_matrix
 from esequiv.errors import UnsatisfiableSpec
-from esequiv.formats import dumps_es
 from esequiv.semantics import build_lts, has_autoconcurrency
 from esequiv.spectrum import (
     FIG_CS,
@@ -17,52 +16,14 @@ from esequiv.spectrum import (
     FIG_PES,
     DIAGRAMS,
     CorpusSpec,
-    abrow,
-    arow,
     builtin_fixtures,
     corpus_pairs,
     generate_corpus,
-    grid,
-    triangle,
     verify_spectrum,
 )
 from esequiv.structure import StructureClass, classify
 
 R = Relation
-
-FAMILIES = {"triangle": triangle, "grid": lambda k: grid(k, 2), "arow": arow, "abrow": abrow}
-
-#: `.es` text of each family at k = 0..3
-FAMILY_TEXTS = {
-    "triangle": (
-        "es v1\n",
-        "es v1\nevent 0 a\n",
-        "es v1\nevent 0 a\nevent 1 a\nevent 2 a\ncause 1 2\n",
-        "es v1\nevent 0 a\nevent 1 a\nevent 2 a\nevent 3 a\nevent 4 a\nevent 5 a\n"
-        "cause 1 2\ncause 3 4\ncause 4 5\n",
-    ),
-    "grid": (
-        "es v1\n",
-        "es v1\nevent 0 a\nevent 1 a\ncause 0 1\n",
-        "es v1\nevent 0 a\nevent 1 a\nevent 2 a\nevent 3 a\ncause 0 1\ncause 2 3\n",
-        "es v1\nevent 0 a\nevent 1 a\nevent 2 a\nevent 3 a\nevent 4 a\nevent 5 a\n"
-        "cause 0 1\ncause 2 3\ncause 4 5\n",
-    ),
-    "arow": (
-        "es v1\nevent 0 a\n",
-        "es v1\nevent 0 a\nevent 1 a\nevent 2 b\ncause 1 2\n",
-        "es v1\nevent 0 a\nevent 1 a\nevent 2 b\nevent 3 a\nevent 4 b\ncause 1 2\ncause 3 4\n",
-        "es v1\nevent 0 a\nevent 1 a\nevent 2 b\nevent 3 a\nevent 4 b\nevent 5 a\nevent 6 b\n"
-        "cause 1 2\ncause 3 4\ncause 5 6\n",
-    ),
-    "abrow": (
-        "es v1\n",
-        "es v1\nevent 0 a\nevent 1 b\ncause 0 1\n",
-        "es v1\nevent 0 a\nevent 1 b\nevent 2 a\nevent 3 b\ncause 0 1\ncause 2 3\n",
-        "es v1\nevent 0 a\nevent 1 b\nevent 2 a\nevent 3 b\nevent 4 a\nevent 5 b\n"
-        "cause 0 1\ncause 2 3\ncause 4 5\n",
-    ),
-}
 
 
 class TestFixtures:
@@ -123,22 +84,6 @@ class TestCorpus:
                 hit = True
                 break
         assert hit
-
-    def test_truncation_generators(self):
-        assert triangle(3).n == 6  # columns of heights 1, 2, 3
-        assert grid(3, 2).n == 6
-        assert arow(2).n == 5
-        assert abrow(2).n == 4
-        assert set(triangle(3).labels) == {"a"}
-        assert sorted(set(arow(2).labels)) == ["a", "b"]
-        # columns are chains: the tallest column of triangle(3) has height 3
-        t = triangle(3)
-        depths = [bin(m).count("1") for m in t.down]
-        assert max(depths) == 2
-        # events are numbered column by column, each column bottom-up
-        for name, texts in FAMILY_TEXTS.items():
-            for k, text in enumerate(texts):
-                assert dumps_es(FAMILIES[name](k)) == text, (name, k)
 
 
 class TestVerify:
