@@ -240,12 +240,12 @@ class _LanguageTable:
     equal language ids under one table iff the languages are equal.
 
     `classes` is a `_classes` table, and `root` gives a structure's root its
-    class id in it, keeping the signature of each new class: its moves
-    packed by `_class_id`, class << 32 | label id.  Bisimilar states have
-    equal languages, so the language of a set of classes is read from the
-    quotient: it interns, in a table of its own, the sorted language ids of
-    the successor sets under each label, packed with the label id, and is
-    computed once per set of classes.
+    class id in it, once per structure and mode, keeping the signature of
+    each new class: its moves packed by `_class_id`, class << 32 | label
+    id.  Bisimilar states have equal languages, so the language of a set of
+    classes is read from the quotient: it interns, in a table of its own,
+    the sorted language ids of the successor sets under each label, packed
+    with the label id, and is computed once per set of classes.
     """
 
     def __init__(self):
@@ -254,10 +254,14 @@ class _LanguageTable:
         self._ids = {}  # language signature -> language id
         self._of = {}  # sorted tuple of class ids -> language id
         self._residuals = {}  # mode -> labels -> packed rows -> class id
+        self._roots = {}  # mode -> id of a structure -> its root's class id
+        self._held = []  # the structures of `_roots`, so that no id is reused
 
     def root(self, s: EventStructure | Semantics, mode):
         """Class id of the root of the system of `s`, a structure or a memo,
-        in `mode`, by a bottom-up class pass that builds no system.
+        in `mode`, by a bottom-up class pass that builds no system.  The
+        table keeps the id it gives each structure in each mode, so asking
+        again is one lookup that expands nothing and refuses nothing anew.
 
         The future of a configuration C is the system of its residual, the
         events outside C and outside C's conflicts.  So each state but the
@@ -271,8 +275,11 @@ class _LanguageTable:
         `MAX_TRANSITIONS` moves.  The residual is C's future only when
         conflicts are inherited along causality, as `build` closes them, so
         a structure whose conflicts are not raises `ValidationError`, as
-        unclosed causality does in the pomset mode (`_pomset_rows`).
+        unclosed causality does in the pomset mode (`_refuse`).
         """
+        got = self._roots.get(mode, {}).get(id(s.s if isinstance(s, Semantics) else s))
+        if got is not None:
+            return got
         sem = Semantics.of(s)
         s = sem.s
         _refuse(s, mode)
@@ -320,7 +327,9 @@ class _LanguageTable:
             return _class_id(table, moves, seen)
 
         try:
-            return class_of(0, 0)
+            got = self._roots.setdefault(mode, {})[id(s)] = class_of(0, 0)
+            self._held.append(s)
+            return got
         finally:
             # ids count the table's entries, so the new keys are the last ones
             new = len(table) - len(self._keys)

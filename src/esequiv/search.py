@@ -27,17 +27,21 @@ Keying, and grouping by ib, sb or pb, build no transition system:
 `_LanguageTable.root` gives a root its bisimulation class in any mode by a
 class pass that reads each configuration's future off its residual
 structure, the events outside it and its conflicts, and residuals repeat
-across the classes of a size, so each is expanded once per table.  Keying
-reads each root's class in the fingerprint's mode, under one table per
-size; the trace fingerprint is that class's language (bisimilar states
-have equal languages), and for ib or sb the class itself groups a bucket's
-members.  pb groups each bucket of two or more members by root classes
-under one table per bucket; other coarse relations check each member
-against each group's first, whose memo alone is kept (`_groups`).  The
-fine relation groups each coarse group of two or more members the same
-way, and a pair qualifies when its members fall into different fine
-groups; when the coarse relation implies the fine one, none can, and no
-fine group is formed.
+across the classes of a size, so each is expanded once per table.  Each
+size has one table, the only place its interleaving and step classes are
+read: it keeps the class it gave each structure in each mode, so a root
+that keying read is not expanded again when grouping or the fine pass
+asks for it.  Keying reads each root's class in the fingerprint's mode;
+the trace fingerprint is that class's language (bisimilar states have
+equal languages).  ib and sb group by root class under the size table,
+pb under a table of its own grouping call, since no key reads pomset
+classes, and other relations check each member against each group's
+first, whose memo alone is kept (`_groups`).  With it, st or pt as the
+coarse relation and filters on, the key decides it, so a bucket is one
+coarse group.  The fine relation groups each coarse group of two or more
+members the same way, and a pair qualifies when its members fall into
+different fine groups; when the coarse relation implies the fine one,
+none can, and no fine group is formed.
 """
 
 from __future__ import annotations
@@ -165,10 +169,6 @@ def st_fingerprint(s: EventStructure, table):
     return _fingerprint(s, MODE_STEP, table)
 
 
-#: coarse relations whose root classes are read while keying
-_ROOTS_AT_KEY = (Relation.IB, Relation.SB)
-
-
 @dataclass(frozen=True)
 class SearchSpec:
     """What to search for: pairs with `coarse` holding and `fine` failing."""
@@ -237,82 +237,63 @@ def _certificate_text(spec, stats, found_size):
 
 
 def _keyer(spec):
-    """The bucket key function of a search: (memo, table) -> (key, root).
+    """The bucket key function of a search, (memo, table) -> key, and
+    whether the key decides the coarse relation.
 
     The key holds the invariants of the structure implied by the coarse
     relation, its trace fingerprint under the `_LanguageTable` `table`
-    among them.  root is the structure's class under the coarse relation
-    when keying reads it, else None: with ib or sb the class id of its root
-    in that table, and with it, st or pt and filters on the invariant the
-    key holds for it (its language id, or its pomset codes), which decides
-    that relation, so a bucket is one coarse group.  Which invariants are
-    kept, and the one mode the class pass runs in, are decided here once.
+    among them.  With it, st or pt as the coarse relation and filters on,
+    the invariant the key holds (its language id, or its pomset codes)
+    decides that relation, so a bucket is one coarse group.  Which
+    invariants are kept, and the one mode the class pass runs in, are
+    decided here once.
     """
     coarse = spec.coarse
-    grouped = coarse in _ROOTS_AT_KEY
     # the finest trace relation the coarse relation implies, whose invariant
     # the key holds: pt implies st and st implies it, so a coarser one would
     # split no bucket further, and every relation implies it
     trace = None
     if spec.use_filters:
         trace = next(r for r in (Relation.PT, Relation.ST, Relation.IT) if implies(coarse, r))
-    # sb implies st and ib does not, so a fingerprint's mode is also their class mode
-    mode = _MODE_OF.get(trace) or (_MODE_OF[coarse] if grouped else None)
-    # the invariant decides its relation, so for it as the coarse relation
-    # the invariant is the class
-    decided = coarse is trace
+    mode = _MODE_OF.get(trace)
     sdm = spec.sdm_filter
 
     def key_of(sem, table):
         key = [tuple(sorted(sem.s.labels))]
-        root = table.root(sem, mode) if mode else None
         if trace is Relation.PT:
             key.append(sem.codes)
         elif trace is not None:
-            key.append(table.language((root,)))
+            key.append(table.language((table.root(sem, mode),)))
         if sdm:
             key.append(source_deleted_multiset(sem))
-        if decided:
-            return tuple(key), key[1]
-        return tuple(key), (root if grouped else None)
+        return tuple(key)
 
-    return key_of
+    return key_of, coarse is trace
 
 
-def _buckets(reps, spec, table):
-    """Bucket key -> (member indices, their coarse classes or None), in
-    member order (see `_keyer`).  A member's key and, for ib and sb, its
-    root class come from one memo and one `_LanguageTable.root` pass under
-    `table`."""
-    key_of = _keyer(spec)
+def _buckets(reps, key_of, table):
+    """Bucket key -> member indices, in member order, each key read by
+    `key_of` (see `_keyer`) from one memo under `table`."""
     buckets = {}
     for idx, s in enumerate(reps):
-        key, root = key_of(Semantics(s), table)
-        members, roots = buckets.setdefault(key, ([], []))
-        members.append(idx)
-        if root is not None:
-            roots.append(root)
-    return {key: (members, roots or None) for key, (members, roots) in buckets.items()}
+        buckets.setdefault(key_of(Semantics(s), table), []).append(idx)
+    return buckets
 
 
-def _groups(members, rel, roots=None):
+def _groups(members, rel, table):
     """Group the structures `members` by the equivalence `rel`, in member
-    order, by class (`roots` if given, else for ib, sb and pb root classes
-    read off residuals under one table, with no system built) or against
-    each group's first member, whose memo alone is kept; return the groups
-    and the checks counted.  Classes of it, st or pt come from a bucket key
-    that decides the relation, so they make one group, and each member past
-    its first counts as the check against it that the key spared."""
-    if roots is None and rel in _BY_BISIM:
-        # a root's class under a table shared by the members is an exact key
-        table = _LanguageTable()
-        roots = [table.root(s, _MODE_OF[rel]) for s in members]
-    if roots is not None:
-        by_class = {}
-        for idx, root in enumerate(roots):
-            by_class.setdefault(root, []).append(idx)
-        groups = list(by_class.values())
-        return groups, 0 if rel in _BY_BISIM else len(members) - len(groups)
+    order; return the groups and the checks counted.  ib and sb group by
+    root class under `table`, which answers a root it already read without
+    expanding it again, and pb by root class under a table of this call,
+    since no key reads pomset classes; no system is built.  Any other
+    relation checks each member against each group's first, whose memo
+    alone is kept."""
+    if rel in _BY_BISIM:
+        table = _LanguageTable() if rel is Relation.PB else table
+        mode, by_class = _MODE_OF[rel], {}
+        for idx, s in enumerate(members):
+            by_class.setdefault(table.root(s, mode), []).append(idx)
+        return list(by_class.values()), 0
     groups, firsts, checks = [], [], 0
     for idx, s in enumerate(members):
         sem = Semantics(s)
@@ -327,11 +308,16 @@ def _groups(members, rel, roots=None):
     return groups, checks
 
 
-def _process_bucket(members, coarse, fine, roots=None):
+def _process_bucket(members, coarse, fine, table, decided):
     """Group one bucket by the coarse relation, in member order; return the
     groups, the number of pairs tested and the pairs of a group that the fine
-    relation groups apart.  `roots` are the members' root class ids, if known."""
-    groups, pairs_tested = _groups(members, coarse, roots)
+    relation groups apart.  A bucket whose key decides the coarse relation
+    is one group, each member past its first counting as the check against
+    it that the key spared.  Both passes read root classes under `table`."""
+    if decided:
+        groups, pairs_tested = [list(range(len(members)))], len(members) - 1
+    else:
+        groups, pairs_tested = _groups(members, coarse, table)
     found = []
     for group in groups:
         if fine is Relation.ISO:
@@ -342,7 +328,7 @@ def _process_bucket(members, coarse, fine, roots=None):
             pairs_tested += len(group) * (len(group) - 1) // 2
             if implies(coarse, fine):  # the fine relation holds on every pair
                 continue
-            fine_groups, _ = _groups([members[i] for i in group], fine)
+            fine_groups, _ = _groups([members[i] for i in group], fine, table)
             if len(fine_groups) > 1:  # else no pair of the group qualifies
                 part = {group[k]: p for p, ks in enumerate(fine_groups) for k in ks}
                 found.extend((i, j) for i, j in combinations(group, 2) if part[i] != part[j])
@@ -361,22 +347,23 @@ def find_minimal_pairs(spec: SearchSpec) -> SearchResult:
             f"search supports 1..{MAX_SEARCH_EVENTS} events, got {spec.max_events}"
         )
     stats = {}
+    key_of, decided = _keyer(spec)
     levels = _poset_levels(spec.max_events, spec.alphabet)
     for size, reps in enumerate(islice(levels, 1, None), 1):  # past the empty poset
-        st = SizeStats(classes=len(reps))
-        stats[size] = st
+        st = stats[size] = SizeStats(classes=len(reps))
         # ids are compared only within a size, so the table stays bounded
         # by the largest size, not the whole search
-        buckets = _buckets(reps, spec, _LanguageTable())
+        table = _LanguageTable()
+        buckets = _buckets(reps, key_of, table)
         st.buckets = len(buckets)
-        st.largest_bucket = max(len(members) for members, _ in buckets.values())
+        st.largest_bucket = max(map(len, buckets.values()))
         found = []
-        for members, roots in buckets.values():  # the pairs found are sorted below
+        for members in buckets.values():  # the pairs found are sorted below
             if len(members) == 1:
                 st.groups += 1
                 continue
             groups, tested, pairs = _process_bucket(
-                [reps[i] for i in members], spec.coarse, spec.fine, roots
+                [reps[i] for i in members], spec.coarse, spec.fine, table, decided
             )
             st.groups += len(groups)
             st.pairs_tested += tested

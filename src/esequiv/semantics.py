@@ -345,11 +345,22 @@ def _canonize(key):
 
 def _refuse(s: EventStructure, mode: str):
     """Raise what `build_lts` raises before it reads any configuration: an
-    unknown mode, or more than `MAX_LTS_EVENTS` events."""
+    unknown mode, or more than `MAX_LTS_EVENTS` events, and in the pomset
+    mode `ValidationError` when causality is not a transitively closed
+    strict order, as `build` makes it, since `_pomset_rows` lists causes
+    first by their count."""
     if mode not in MODES:
         raise ModeMismatch(f"unknown mode {mode!r}")
     if s.n > MAX_LTS_EVENTS:
         raise SizeLimit(f"structure has {s.n} events; limit is {MAX_LTS_EVENTS}")
+    if mode == MODE_POMSET:
+        causes = s.down
+        for e, down in enumerate(causes):
+            if down >> e & 1:
+                raise ValidationError(f"event {e} is among its own causes")
+            for d in _bits(down):
+                if causes[d] & ~down:
+                    raise ValidationError(f"causality is not transitively closed at event {e}")
 
 
 def build_lts(s: EventStructure | Semantics, mode: str) -> Lts:
@@ -357,7 +368,7 @@ def build_lts(s: EventStructure | Semantics, mode: str) -> Lts:
     state's moves read through `Semantics.moves`, so made by `_moves` once
     per memo; raises `SizeLimit` past `MAX_TRANSITIONS` transitions.  The
     pomset mode needs causality closed as `build` closes it (see
-    `_pomset_rows`)."""
+    `_refuse`)."""
     sem = Semantics.of(s)
     _refuse(sem.s, mode)
     states = sem.configurations
@@ -369,16 +380,13 @@ def _pomset_rows(s: EventStructure):
     can add, those outside the configuration and its conflicts: causes
     first, none waited for, and each event kept out by its causes'
     conflicts too (which add nothing where `build` closed them).  Causes
-    come first by count, so causality that is not a transitively closed
-    strict order, as `build` makes it, raises `ValidationError`."""
-    conflicts, causes = s.conflicts, s.down
+    come first by count, which lists them first only where causality is a
+    transitively closed strict order; `_refuse` refuses other structures in
+    the pomset mode before these rows are read."""
+    conflicts = s.conflicts
     rows = []
     for e, down, blocked in _event_rows(s):
-        if down >> e & 1:
-            raise ValidationError(f"event {e} is among its own causes")
         for d in _bits(down):
-            if causes[d] & ~down:
-                raise ValidationError(f"causality is not transitively closed at event {e}")
             blocked |= conflicts[d]
         rows.append((down.bit_count(), e, blocked))
     return [(e, 0, blocked) for _, e, blocked in sorted(rows)]

@@ -24,7 +24,7 @@ from esequiv.equivalences import (
     trace_equiv,
     whb_equiv,
 )
-from esequiv.errors import ModeMismatch, SizeLimit
+from esequiv.errors import ModeMismatch, SizeLimit, ValidationError
 from esequiv.semantics import (
     MODE_INTERLEAVING,
     MODE_POMSET,
@@ -34,7 +34,7 @@ from esequiv.semantics import (
     build_lts,
 )
 from esequiv.spectrum import CorpusSpec, builtin_fixtures, corpus_pairs
-from esequiv.structure import build
+from esequiv.structure import EventStructure, build
 
 from conftest import random_structure
 from oracles import (
@@ -466,6 +466,26 @@ class TestRootRefutation:
         assert min(times) < 0.1
         ok, wit = check(R.PB, chain, atoms, witness=True)
         assert not ok and wit.moves[0][0] == "left" and wit.stuck_side == "right"
+
+    def test_pomset_gate_refuses_unclosed_causality(self):
+        # e2's cause e1 has the cause e0, which e2 lacks: the pomset mode
+        # refuses the structure before any root is compared, with or
+        # without a witness, whichever side it is on
+        unclosed = EventStructure(
+            labels=("a", "a", "a"), down=(0, 0b001, 0b010), conflicts=(0, 0, 0)
+        )
+        atoms = from_expr("a||a||a")
+        text = "^causality is not transitively closed at event 2$"
+        for left, right in ((unclosed, atoms), (atoms, unclosed)):
+            for w in (False, True):
+                with pytest.raises(ValidationError, match=text):
+                    check(R.PB, left, right, witness=w)
+        with pytest.raises(ValidationError, match=text):
+            Semantics(unclosed).moves(0, MODE_POMSET)
+        # the other modes read no causes-first order, so they accept it: its
+        # configurations form a chain, with no step of two events
+        assert check(R.IB, unclosed, atoms) is True
+        assert check(R.SB, unclosed, atoms) is False
 
     @pytest.mark.parametrize("mode", MODES)
     def test_stuck_side_reads_no_class(self, mode):

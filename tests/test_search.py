@@ -27,7 +27,7 @@ from esequiv.search import (
     source_deleted_multiset,
     st_fingerprint,
 )
-from esequiv.semantics import Semantics, _order_key, build_lts, trace_language
+from esequiv.semantics import MODE_POMSET, MODES, Semantics, _order_key, build_lts, trace_language
 from esequiv.spectrum import CorpusSpec, corpus_pairs
 from esequiv.structure import EventStructure, build, canonical_form, isomorphic
 
@@ -319,6 +319,24 @@ class TestResidualRoots:
         assert got == _oracle_partition(structures, same, language)
         assert len(got) < len(structures)
 
+    def test_a_repeated_root_expands_nothing(self, monkeypatch):
+        real, made = equivalences._moves, Counter()
+
+        def moves(sem, events, mode, *args):
+            made[mode] += 1
+            return real(sem, events, mode, *args)
+
+        monkeypatch.setattr(equivalences, "_moves", moves)
+        table = _LanguageTable()
+        s = from_expr("(a;b) || (a + c;a)")
+        for mode in MODES:
+            first = table.root(s, mode)
+            assert made[mode] > 0
+            made.clear()
+            # a memo of the same structure is the same question
+            assert table.root(s, mode) == table.root(Semantics(s), mode) == first
+            assert not made
+
     def test_a_wide_antichain_is_bounded(self):
         # 25 one-label atoms have 26 residual keys, but the root alone has
         # 2^25 - 1 step groups: the group list stops past the move budget
@@ -476,7 +494,8 @@ class TestSearch:
                 keep = (True, True, implies(coarse, R.ST), implies(coarse, R.PT))
                 old = [tuple(v for v, k in zip(key, keep) if k) for key in full]
                 spec = SearchSpec(coarse=coarse, fine=R.ISO, max_events=5, alphabet=2)
-                new = [_keyer(spec)(Semantics(s), table)[0] for s in reps]
+                key_of, _ = _keyer(spec)
+                new = [key_of(Semantics(s), table) for s in reps]
                 assert _partition(new) == _partition(old), coarse
 
     @pytest.mark.parametrize("coarse", [R.IB, R.SB, R.PB])
@@ -491,11 +510,12 @@ class TestSearch:
         # oracles, spares pairwise tests that cannot succeed
         language = o_traces if coarse is R.IB else o_step_traces
         mode = _MODE_OF[coarse]
+        key_of, decided = _keyer(spec)
         for reps in list(_poset_levels(max_events, alphabet))[1:]:
-            # ib and sb roots come from keying, under one table per size as
-            # in a search; pb has none and groups inside the bucket
-            for indices, roots in _buckets(reps, spec, _LanguageTable()).values():
-                assert (roots is None) == (coarse is R.PB)
+            # one table per size, as in a search: with filters on, ib and sb
+            # keys read the roots that grouping reads again from it
+            table = _LanguageTable()
+            for indices in _buckets(reps, key_of, table).values():
                 members = [reps[i] for i in indices]
                 systems = [build_lts(s, mode) for s in members]
                 keys = [frozenset(language(s)) for s in members]
@@ -508,23 +528,25 @@ class TestSearch:
                             break
                     else:
                         pairwise.append([idx])
-                groups, tested, _ = _process_bucket(members, coarse, R.ISO, roots)
+                groups, tested, _ = _process_bucket(members, coarse, R.ISO, table, decided)
                 assert (groups, tested) == (pairwise, 0)
-                if roots is not None:
-                    # the per-bucket path still groups ib and sb the same way
-                    assert _process_bucket(members, coarse, R.ISO)[:2] == (pairwise, 0)
+                # a table that has read no root groups them the same way
+                fresh = _process_bucket(members, coarse, R.ISO, _LanguageTable(), decided)
+                assert fresh[:2] == (pairwise, 0)
 
     @pytest.mark.parametrize("fine", [r for r in R if r is not R.ISO])
     @pytest.mark.parametrize("coarse", [R.IT, R.ST, R.IB])
     @pytest.mark.parametrize("alphabet, max_events", [(1, 5), (2, 4)])
     def test_fine_groups_equal_all_pairs_checks(self, coarse, fine, alphabet, max_events):
         spec = SearchSpec(coarse=coarse, fine=fine, max_events=max_events, alphabet=alphabet)
+        key_of, decided = _keyer(spec)
         for reps in list(_poset_levels(max_events, alphabet))[1:]:
-            for indices, roots in _buckets(reps, spec, _LanguageTable()).values():
+            table = _LanguageTable()
+            for indices in _buckets(reps, key_of, table).values():
                 members = [reps[i] for i in indices]
-                assert _process_bucket(members, coarse, fine, roots) == _all_pairs_bucket(
-                    members, coarse, fine, roots
-                )
+                assert _process_bucket(
+                    members, coarse, fine, table, decided
+                ) == _all_pairs_bucket(members, coarse, fine)
 
     @pytest.mark.parametrize("fine", [R.IB, R.SB, R.PB])
     @pytest.mark.parametrize("coarse", [R.IT, R.ST])
@@ -585,21 +607,70 @@ class TestSearch:
 
         for use_filters in (True, False):
             spec = SearchSpec(coarse=R.IT, fine=R.IB, max_events=6, use_filters=use_filters)
-            ((indices, roots),) = _buckets(reps, spec, _LanguageTable()).values()
+            key_of, decided = _keyer(spec)
+            table = _LanguageTable()
+            (indices,) = _buckets(reps, key_of, table).values()
             most.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(search, "Semantics", Tracked)
                 members = [reps[i] for i in indices]
-                groups, tested, found = _process_bucket(members, R.IT, R.IB, roots)
+                groups, tested, found = _process_bucket(members, R.IT, R.IB, table, decided)
             assert len(indices) == 318 and len(groups) == 1 and not found
             # 317 it checks, made or spared, and every pair of the group for ib
             assert tested == 317 + 318 * 317 // 2
             # without filters the it groups build a memo per member and keep
             # one per group; with them the bucket key decides it and none is
-            # built.  The ib groups read each member's root class off its
-            # residuals and build none
+            # built.  The ib groups read each member's root class under the
+            # size table and build none
             assert len(most) == (0 if use_filters else 318)
             assert max(most, default=0) <= len(groups) + 1
+
+    def test_the_fine_pass_reads_the_keying_roots(self, monkeypatch):
+        # one label, it/ib to 6 events: keying reads every root's
+        # interleaving class under the size table, so the fine ib pass finds
+        # each one there and expands no state
+        real_moves, real_process = equivalences._moves, search._process_bucket
+        inside, made = [False], Counter()
+
+        def moves(*args):
+            made[inside[0]] += 1
+            return real_moves(*args)
+
+        def process(*args):
+            inside[0] = True
+            try:
+                return real_process(*args)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(equivalences, "_moves", moves)
+        monkeypatch.setattr(search, "_process_bucket", process)
+        with pytest.raises(NoPairFound):
+            find_minimal_pairs(SearchSpec(coarse=R.IT, fine=R.IB, max_events=6))
+        assert made[False] > 0 and made[True] == 0
+
+    def test_pomset_classes_stay_out_of_the_size_table(self, monkeypatch):
+        # no key reads pomset classes, so pb groups under a table of its own
+        # call and each size table keeps no pomset-mode residual or root
+        real_buckets, real_moves = search._buckets, equivalences._moves
+        tables, made = [], Counter()
+
+        def buckets(reps, key_of, table):
+            tables.append(table)
+            return real_buckets(reps, key_of, table)
+
+        def moves(sem, events, mode, *args):
+            made[mode] += 1
+            return real_moves(sem, events, mode, *args)
+
+        monkeypatch.setattr(search, "_buckets", buckets)
+        monkeypatch.setattr(equivalences, "_moves", moves)
+        spec = SearchSpec(coarse=R.PB, fine=R.WHB, max_events=5, alphabet=2, use_filters=False)
+        with pytest.raises(NoPairFound):
+            find_minimal_pairs(spec)
+        assert len(tables) == 5 and made[MODE_POMSET] > 0
+        for table in tables:
+            assert MODE_POMSET not in table._residuals and MODE_POMSET not in table._roots
 
     # sb/iso searches all 405 one-label classes up to 6 events; ib/iso stops
     # at a||a against a;a, after the 3 classes of sizes 1 and 2.  pb/whb
@@ -639,25 +710,19 @@ class TestSearch:
         assert built == {}
 
 
-def _all_pairs_bucket(members, coarse, fine, roots=None):
+def _all_pairs_bucket(members, coarse, fine):
     """The bucket pass with every pair of a coarse group checked for the fine
     relation: the reference the fine groups must agree with."""
     sems = [Semantics(s) for s in members]
     pairs_tested = 0
-    if coarse not in (R.IB, R.SB, R.PB):
-        roots = None  # trace classes from a bucket key are checked pair by pair
-    if roots is None and coarse in (R.IB, R.SB, R.PB):
-        table = {}
-        systems = [build_lts(sem, _MODE_OF[coarse]) for sem in sems]
-        roots = [
-            _classes(lts.successors.__getitem__, len(lts.states), table)[0] for lts in systems
-        ]
-    if roots is not None:
-        by_class = {}
-        for idx, root in enumerate(roots):
+    if coarse in (R.IB, R.SB, R.PB):
+        table, by_class = {}, {}
+        for idx, sem in enumerate(sems):
+            lts = build_lts(sem, _MODE_OF[coarse])
+            root = _classes(lts.successors.__getitem__, len(lts.states), table)[0]
             by_class.setdefault(root, []).append(idx)
         groups = list(by_class.values())
-    else:
+    else:  # trace classes are checked pair by pair
         groups = []
         for idx in range(len(members)):
             for group in groups:
@@ -759,6 +824,36 @@ class TestSearchOutputBytes:
         ),
     }
 
+    #: the same with the filters off: coarse ib and sb classes are then
+    #: read by grouping, not by keying
+    NO_FILTER_DIGESTS = {
+        (R.PB, R.WHB, 2, 5): (
+            "6dfe2229c00986c7272e8d66cf7f9c6a6147cc19c5c31752d794e15c24ff8724", None,
+        ),
+        (R.SB, R.PB, 1, 6): (
+            "cc9ef6c4e682b41157f5a06ad9bf48d769fdf454812b5a47ac3a514f7722f336", None,
+        ),
+        (R.IT, R.IB, 1, 6): (
+            "ce681827a2b4587cceb5d5bcc5b003e4c44742cc918142eed25cab3480ea8605", None,
+        ),
+        (R.IB, R.SB, 1, 6): (
+            "0db965d5779266e820656d765dcd7ec2ee57e30bc45e7a1a41b4d1a37c862cea",
+            [
+                ("ccb3d851e9ff676251fac7613ea675b86b1e804de5a3029a04be53877f11b4c7",
+                 "55f9fddc8ca23f7ccd708e0e1486fc874f7ef25917e53c17543517646d09e3c0"),
+            ],
+        ),
+        (R.ST, R.IB, 2, 4): (
+            "fcd4e83e0b427777e43c0ddf97e16100abb55d59500097c6cce84526e7db97ef",
+            [
+                ("63dc68c5501929b3f2f5ddaadc04abdefc98e940ffb6ca4787016e80aeb0dc91",
+                 "9e72f037c5c1fe536d17004315b4eb24905567a7229d2743d27a41265f63d5aa"),
+                ("a6d4ace9bb61bf4bff42fdf3d7b88af0e05333731d36595b30bfac137e8f8fb6",
+                 "11c0fbf38afc8e7cfc769487e8ea9557652a6a4ad90e7d84bee06f4bba9cc344"),
+            ],
+        ),
+    }
+
     @pytest.mark.parametrize(
         "case", list(DIGESTS), ids=lambda c: f"{c[0].value}-{c[1].value}-{c[2]}-{c[3]}"
     )
@@ -771,12 +866,18 @@ class TestSearchOutputBytes:
     def test_sdm_search_bytes_are_pinned(self, case):
         assert _search_digests(*case, sdm_filter=True) == self.SDM_DIGESTS[case]
 
+    @pytest.mark.parametrize(
+        "case", list(NO_FILTER_DIGESTS), ids=lambda c: f"{c[0].value}-{c[1].value}-{c[2]}-{c[3]}"
+    )
+    def test_filters_off_search_bytes_are_pinned(self, case):
+        assert _search_digests(*case, use_filters=False) == self.NO_FILTER_DIGESTS[case]
 
-def _search_digests(coarse, fine, alphabet, max_events, sdm_filter=False):
+
+def _search_digests(coarse, fine, alphabet, max_events, sdm_filter=False, use_filters=True):
     """The sha256 of a search's certificate and of the .es text of each found
     pair (None: no pair)."""
     spec = SearchSpec(coarse=coarse, fine=fine, max_events=max_events, alphabet=alphabet,
-                      sdm_filter=sdm_filter)
+                      use_filters=use_filters, sdm_filter=sdm_filter)
     try:
         res = find_minimal_pairs(spec)
     except NoPairFound as err:
