@@ -7,13 +7,14 @@ violation, or empty search; 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import re
 import sys
 
 from . import __version__
 from .algebra import from_expr
-from .equivalences import MATRIX_ORDER, Relation, check, full_matrix
+from .equivalences import MATRIX_ORDER, GameWitness, Relation, check, full_matrix
 from .errors import EsError, NoPairFound
 from .formats import dumps_es, export_dot, lts_label_text, read_es, write_es
 from .semantics import (
@@ -26,7 +27,7 @@ from .semantics import (
 )
 from .search import SearchSpec, find_minimal_pairs
 from .spectrum import DIAGRAMS, CorpusSpec, builtin_fixtures, corpus_pairs, verify_spectrum
-from .structure import classify
+from .structure import classify, pomset_code_text
 
 _MODE_BY_FLAG = {"i": MODE_INTERLEAVING, "s": MODE_STEP, "p": MODE_POMSET}
 
@@ -148,6 +149,13 @@ def _cmd_check(args):
     else:
         ok, wit = check(rel, left, right), None
     print(f"{rel.value}: {'related' if ok else 'not related'}")
+    if rel is Relation.PB and isinstance(wit, GameWitness):
+        # pomset labels are codes: print each as `pomset_code_text` spells it
+        wit = dataclasses.replace(
+            wit,
+            moves=tuple((side, pomset_code_text(label)) for side, label in wit.moves),
+            stuck_label=pomset_code_text(wit.stuck_label),
+        )
     if wit is not None:
         print(f"witness: {wit}")
     return 0 if ok else 1

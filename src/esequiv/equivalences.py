@@ -3,11 +3,12 @@
 Trace equivalences are decided by one on-the-fly subset search over the
 moves of the configurations it reaches, without materializing languages;
 pomset trace equivalence compares code sets size by size; bisimulations,
-once the roots' move labels fail to refute them, by one rank-based pass
-that gives every state a class id bottom-up, since the systems are
-acyclic; weak history preserving bisimilarity by the same pass over
-states tagged with their pomsets, once neither the interleaving roots'
-labels nor the code sets refute it; the plain and hereditary history
+once the roots fail to refute them within two game rounds (one in the
+pomset mode), by one rank-based pass that gives every state a class id
+bottom-up, since the systems are acyclic; weak history preserving
+bisimilarity by the same pass over states tagged with their pomsets, once
+neither the interleaving roots' two rounds nor the code sets refute it;
+the plain and hereditary history
 preserving relations by greatest fixpoints over triples carrying an
 explicit poset isomorphism, built only for the configuration pairs that
 whb relates.  One `Pair` per call holds what these share, each computed
@@ -389,6 +390,35 @@ def _labels(moves):
     return {label for label, _ in moves}
 
 
+def _two_rounds(moves_a, moves_b):
+    """same(x, y): whether state x of one moves function and y of the
+    other agree for two game rounds, so the attacker needs three moves or
+    more to win from them: equal move labels, then equal signatures, the
+    set of (label, the labels of the target's moves) over their moves.  So
+    a pair with unequal labels makes no successor's moves."""
+    sig_a, sig_b = _two_round_signature(moves_a), _two_round_signature(moves_b)
+
+    def same(x, y):
+        return _labels(moves_a(x)) == _labels(moves_b(y)) and sig_a(x) == sig_b(y)
+
+    return same
+
+
+def _two_round_signature(moves):
+    """state -> its two-round signature, made once per state."""
+    made = {}
+
+    def signature(i):
+        got = made.get(i)
+        if got is None:
+            got = made[i] = frozenset(
+                (label, frozenset(_labels(moves(j)))) for label, j in moves(i)
+            )
+        return got
+
+    return signature
+
+
 def _unmatched(moves_a, moves_b):
     """The first attacker move that no answer matches, left moves first,
     each side's in its sorted order: (side, label), else None."""
@@ -411,8 +441,10 @@ def _bisim_line(moves_a, moves_b, states_a, states_b, same):
     its pair (the fewest moves the attacker needs to win, computed only
     where the line goes) and takes the least deep answer, so the line is
     no longer than the roots' depth; a stuck move has depth 1, the least,
-    so taking it first changes no line.  The lost position is given as
-    masks.
+    so taking it first changes no line.  Where the roots' depth is at most
+    2, `same` may be `_two_rounds`: the pairs it separates keep their
+    depth, the others are deeper than the roots, so the line is the same.
+    The lost position is given as masks.
     """
     memo = {}
 
@@ -485,21 +517,21 @@ class Pair:
     def __init__(self, ma: Semantics, mb: Semantics):
         self.ma, self.mb = ma, mb
 
-    def roots_agree(self, mode):
-        """Whether the two roots' moves in `mode` have the same labels, read
-        without building a system: if not, the bisimulation game is lost in
-        one round.  In the interleaving and step modes they are the labels
-        of the memos' `moves(0, mode)`.  In the pomset mode they are the
-        nonempty configurations' codes, since every configuration is one
-        pomset move from the root, and the empty one's code is every
-        structure's: so they agree iff `codes_agree`, read size by size
-        once both sides pass `semantics._refuse`."""
+    def two_rounds_agree(self, mode):
+        """Whether the roots agree for two rounds of the bisimulation game in
+        `mode` (`_two_rounds`), read without a class pass, once both sides
+        pass `semantics._refuse`; one memo agrees with itself unread.  In
+        the pomset mode every configuration is one move from the root, so
+        a second round would read the whole system: only the roots' labels,
+        the nonempty configurations' codes, are compared (`codes_agree`)."""
         ma, mb = self.ma, self.mb
-        if mode != MODE_POMSET:
-            return _labels(ma.moves(0, mode)) == _labels(mb.moves(0, mode))
         _refuse(ma.s, mode)
         _refuse(mb.s, mode)
-        return self.codes_agree
+        if ma is mb:
+            return True
+        if mode == MODE_POMSET:
+            return self.codes_agree
+        return _two_rounds(lambda i: ma.moves(i, mode), lambda i: mb.moves(i, mode))(0, 0)
 
     @classmethod
     def of(cls, sa, sb=None):
@@ -532,14 +564,14 @@ class Pair:
     def whb_classes(self):
         """Class ids of both sides' interleaving states under one table, each
         state tagged with the pomset code of its configuration, when whb
-        holds; else None.  whb implies ib and pt, so it fails with no system
-        and no class pass when the interleaving roots' move labels differ
-        (`roots_agree`) or the code sets do (`codes_agree`): the attacker
-        then plays the interleaving path to a configuration whose pomset the
-        other side lacks.  Otherwise one rank pass over both memos' moves
-        gives equal ids iff whb relates the two states, and whb holds iff
-        the roots' ids are equal."""
-        if not (self.roots_agree(MODE_INTERLEAVING) and self.codes_agree):
+        holds; else None.  It fails with no class pass when the interleaving
+        roots disagree within two rounds (`two_rounds_agree`), since whb's
+        answers are interleaving moves too, or when the code sets differ
+        (`codes_agree`): the attacker then plays the interleaving path to a
+        configuration whose pomset the other side lacks.  Otherwise one rank
+        pass over both memos' moves gives equal ids iff whb relates the two
+        states, and whb holds iff the roots' ids are equal."""
+        if not (self.two_rounds_agree(MODE_INTERLEAVING) and self.codes_agree):
             return None
         table, cls = {}, []
         for m in (self.ma, self.mb):
@@ -585,7 +617,7 @@ def whb_equiv(sa: EventStructure, sb: EventStructure = None, *, witness=False):
     with isomorphic posets: it holds iff `Pair.whb_classes` is not None,
     and the pairs of equal class (`Pair.whb_pairs`) are listed only for the
     witness.  The pass behind the classes runs only when neither the
-    interleaving roots' move labels nor the code sets refute whb.
+    interleaving roots' first two rounds nor the code sets refute whb.
     """
     pair = Pair.of(sa, sb)
     related = pair.whb_classes is not None
@@ -747,15 +779,12 @@ def check(rel: Relation, sa: EventStructure, sb: EventStructure = None, *, witne
     its verdict cannot be had without it.  it and st run one subset search
     (`_trace_search`), which makes the moves of only the configurations it
     reaches and stops at the first label one side lacks.  For ib, sb and
-    pb the roots' move labels come first (`Pair.roots_agree`): a label one
-    root has and the other lacks wins the bisimulation game in one round,
-    so the verdict is False and no class pass runs.  The witness is
-    `_bisim_line`, which takes that move at the roots and so reads no
-    class.  For pb the labels are the configurations' codes, compared size
-    by size; the root's pomset moves are made only for the witness.  whb,
-    hb and hhb read one gate (`Pair.whb_classes`): each implies ib and pt,
-    so all three fail at once, with no class pass or triple, when the
-    interleaving roots' labels or the code sets differ; else whb's classes
+    pb `Pair.two_rounds_agree` comes first: where the attacker wins within
+    two moves (one for pb) the verdict is False, no class pass runs, and
+    the witness is `_bisim_line` with `_two_rounds` as its class test.
+    whb, hb and hhb read one gate (`Pair.whb_classes`): all three fail at
+    once, with no class pass or triple, when the interleaving roots
+    disagree within two rounds or the code sets differ; else whb's classes
     pick hb's and hhb's triples."""
     pair = Pair.of(sa, sb)
     ma, mb = pair.ma, pair.mb
@@ -764,12 +793,12 @@ def check(rel: Relation, sa: EventStructure, sb: EventStructure = None, *, witne
         moves_a, moves_b = (lambda i: ma.moves(i, mode)), (lambda i: mb.moves(i, mode))
         if rel not in _BY_BISIM:
             return _trace_search(moves_a, moves_b, witness)
-        if pair.roots_agree(mode):
+        if pair.two_rounds_agree(mode):
             return _bisim(moves_a, moves_b, ma.configurations, mb.configurations, mode, witness)
         if not witness:
             return False
-        # a side is stuck at the roots, so the line reads no class
-        return False, _bisim_line(moves_a, moves_b, ma.configurations, mb.configurations, None)
+        same = _two_rounds(moves_a, moves_b)  # never read in the pomset mode
+        return False, _bisim_line(moves_a, moves_b, ma.configurations, mb.configurations, same)
     if rel not in _ON_MEMOS:
         raise ValueError(f"unknown relation {rel!r}")
     return _ON_MEMOS[rel](pair, witness)

@@ -2,7 +2,9 @@ import os
 
 import pytest
 
+from esequiv.algebra import from_expr
 from esequiv.cli import run
+from esequiv.equivalences import Relation, check
 
 
 def out_of(capsys):
@@ -21,6 +23,17 @@ class TestCheck:
     def test_witness_flag(self, capsys):
         assert run(["check", "st", "--expr", "a;a", "--expr", "a||a", "--witness"]) == 1
         assert "witness:" in out_of(capsys)
+
+    def test_pomset_witness_labels_are_printed_as_text(self, capsys):
+        # the library's labels stay codes; the command prints each as text
+        ok, wit = check(Relation.PB, from_expr("a;b"), from_expr("a||b"), witness=True)
+        assert not ok and isinstance(wit.stuck_label, bytes)
+        assert run(["check", "pb", "--expr", "a;b", "--expr", "a||b", "--witness"]) == 1
+        assert out_of(capsys) == (
+            "pb: not related\n"
+            "witness: GameWitness(moves=(('left', '2: a b 0<1'),), stuck_side='right', "
+            "stuck_label='2: a b 0<1', position=(0, 0))\n"
+        )
 
     def test_bad_expression_exits_two(self, capsys):
         assert run(["check", "iso", "--expr", "a +", "--expr", "a"]) == 2

@@ -360,8 +360,12 @@ class TestDispatch:
 
         monkeypatch.setattr(semantics, "build_lts", build_lts_counting)
 
-        def labels_at_root(s, mode):  # read off the full system
-            return {label for label, _ in real_build(s, mode).successors[0]}
+        def rounds_at_root(s, mode):  # read off the full system
+            succ = real_build(s, mode).successors
+            labels = [frozenset(label for label, _ in moves) for moves in succ]
+            if mode == MODE_POMSET:  # one round: the roots' labels
+                return labels[0]
+            return frozenset((label, labels[j]) for label, j in succ[0])
 
         # it and st run the subset search over the memos, so neither calls
         # trace_equiv nor builds a system
@@ -393,13 +397,14 @@ class TestDispatch:
             # the pair builds the triples of every pair whb relates once, for
             # hb and hhb together, and none at all when whb fails at the roots
             assert calls.pop("_enumerate_isos", 0) == (len(wit.members) if ok else 0)
-            # ib, sb and pb run the class pass over the memos' moves, once per
-            # side, only when the roots offer the same move labels; whb runs
-            # its tagged pass, once per side, only when the interleaving
-            # roots agree and the configurations' code sets, the pomset
+            # ib and sb run the class pass over the memos' moves, once per
+            # side, only when the roots agree for two rounds, and pb only
+            # when the roots offer the same move labels; whb runs its tagged
+            # pass, once per side, only when the interleaving roots agree
+            # for two rounds and the configurations' code sets, the pomset
             # roots' labels, are equal.  No system is built, and the public
             # `bisim` is not called
-            agree = {m: labels_at_root(left, m) == labels_at_root(right, m) for m in MODES}
+            agree = {m: rounds_at_root(left, m) == rounds_at_root(right, m) for m in MODES}
             for mode in MODES:
                 assert calls.pop(("_classes", mode), 0) == (2 if agree[mode] else 0)
                 seen_agree[mode].add(agree[mode])
@@ -410,9 +415,10 @@ class TestDispatch:
 
 
 class TestRootRefutation:
-    """`check` refutes ib, sb and pb from the roots' move labels before it
-    builds a system; its verdicts and witnesses must be those of `bisim`
-    over the fully built systems, on the pairs it refutes and the others."""
+    """`check` refutes ib and sb within two game rounds, and pb from the
+    roots' move labels, before any class pass and without building a
+    system; its verdicts and witnesses must be those of `bisim` over the
+    fully built systems, on the pairs it refutes and the others."""
 
     @pytest.mark.parametrize("structure_class", ["pes", "cs", "ees"])
     @pytest.mark.parametrize("seed", [1, 2])
@@ -486,6 +492,56 @@ class TestRootRefutation:
         # configurations form a chain, with no step of two events
         assert check(R.IB, unclosed, atoms) is True
         assert check(R.SB, unclosed, atoms) is False
+
+    @pytest.mark.parametrize("structure_class", ["pes", "cs", "ees"])
+    def test_two_rounds_refute_exactly_the_pairs_won_within_two_moves(self, structure_class):
+        # the gate refutes a pair iff the attacker's fewest winning moves
+        # are 1 or 2, and its line is then the one of the classes
+        paths = Counter()
+        for alphabet in (1, 2):
+            for seed in (1, 2):
+                spec = CorpusSpec(structure_class, 40, 6, alphabet=alphabet, seed=seed)
+                for _, left, _, right in corpus_pairs(spec):
+                    for rel in (R.IB, R.SB):
+                        mode = eq._MODE_OF[rel]
+                        la, lb = build_lts(left, mode), build_lts(right, mode)
+                        depth = o_distinguishing_depth(la, lb)
+                        refuted = not eq.Pair.of(left, right).two_rounds_agree(mode)
+                        assert refuted == (depth in (1, 2)), (left, right, mode)
+                        ok, wit = check(rel, left, right, witness=True)
+                        assert (ok, wit) == bisim(la, lb, witness=True)
+                        if refuted:
+                            assert len(wit.moves) == depth
+                            assert game_witness_problems(la, lb, wit) == []
+                            paths[f"round {depth}"] += 1
+                        else:
+                            paths["holds" if ok else "class pass"] += 1
+        # all four paths are taken
+        assert set(paths) == {"round 1", "round 2", "class pass", "holds"}
+
+    def test_two_rounds_refute_before_the_transition_bound(self, monkeypatch):
+        # the 16-atom antichain has 16 * 2^15 interleaving transitions, and
+        # against itself its class pass stops at the bound; against a;b its a
+        # leads to another a, where a;b offers only b: two moves win, read
+        # off the moves of the root and its 16 successors
+        atoms = from_expr("||".join(["a"] * 16))
+        monkeypatch.setattr(semantics, "build_lts", None)
+        monkeypatch.setattr(eq, "_classes", None)
+        for w in (False, True):
+            ma = Semantics(atoms)
+            got = check(R.IB, ma, from_expr("a;b"), witness=w)
+            assert sum(moves is not None for moves in ma._listed[MODE_INTERLEAVING][0]) == 17
+        line = GameWitness(
+            moves=(("left", "a"), ("left", "a")), stuck_side="right", stuck_label="a",
+            position=(1, 1),
+        )
+        assert got == (False, line)
+        # the roots' labels come first: the 12-atom antichain's steps a,
+        # a,a, ... against the 12-chain's a alone refute sb at the roots,
+        # before the successors' steps, most of 3^12 - 2^12, are made
+        atoms, chain = from_expr("||".join(["a"] * 12)), from_expr(";".join(["a"] * 12))
+        ok, wit = check(R.SB, atoms, chain, witness=True)
+        assert not ok and wit.moves == (("left", ("a", "a")),)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_stuck_side_reads_no_class(self, mode):
@@ -572,14 +628,14 @@ class TestLazyDeciders:
             assert check(R.WHB, left, right) == ok
             assert check(R.WHB, left, right, witness=True) == full
             pair = eq.Pair.of(left, right)
-            if not pair.roots_agree(MODE_INTERLEAVING):
-                paths["roots"] += 1
+            if not pair.two_rounds_agree(MODE_INTERLEAVING):
+                paths["rounds"] += 1
             elif not pair.codes_agree:
                 paths["codes"] += 1
             else:
                 paths["pass"] += 1
         # all three paths are taken
-        assert set(paths) == {"roots", "codes", "pass"}
+        assert set(paths) == {"rounds", "codes", "pass"}
 
     def test_refuted_roots_build_nothing_for_the_history_relations(self, monkeypatch):
         # a;b against b;a: the interleaving roots offer a against b;
@@ -608,14 +664,15 @@ class TestLazyDeciders:
     @pytest.mark.parametrize("structure_class", ["pes", "cs", "ees"])
     def test_code_gate_agrees_with_the_oracles(self, structure_class):
         # whb, hb and hhb are refuted by the code sets alone when the
-        # interleaving roots agree; the oracles decide them without that gate
+        # interleaving roots agree for two rounds; the oracles decide them
+        # without that gate
         gated = 0
         for alphabet in (1, 2):
             for seed in (1, 2):
                 spec = CorpusSpec(structure_class, 40, 5, alphabet=alphabet, seed=seed)
                 for _, left, _, right in corpus_pairs(spec):
                     pair = eq.Pair.of(left, right)
-                    if not pair.roots_agree(MODE_INTERLEAVING) or pair.codes_agree:
+                    if not pair.two_rounds_agree(MODE_INTERLEAVING) or pair.codes_agree:
                         continue
                     gated += 1
                     for rel, oracle in ((R.WHB, o_whb), (R.HB, o_hb), (R.HHB, o_hhb)):
