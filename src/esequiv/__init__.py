@@ -44,7 +44,6 @@ from .semantics import (
     build_lts,
     configurations,
     has_autoconcurrency,
-    pomset_code,
     poset_of,
     trace_language,
 )

@@ -133,10 +133,11 @@ def _cmd_lts(args):
     if args.dot:
         sys.stdout.write(export_dot(lts))
         return 0
+    transitions = lts.transitions
     print(f"mode: {lts.mode}")
     print(f"states: {len(lts.states)}")
-    print(f"transitions: {len(lts.transitions)}")
-    for src, label, dst in lts.transitions:
+    print(f"transitions: {len(transitions)}")
+    for src, label, dst in transitions:
         print(f"{config_text(src)} --{lts_label_text(lts, label)}--> {config_text(dst)}")
     return 0
 
@@ -257,3 +258,7 @@ def run(argv=None) -> int:
 
 def main():  # console entry point
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

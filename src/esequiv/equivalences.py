@@ -317,9 +317,8 @@ class _LanguageTable:
                     clash |= conflicts[e]
                 residual = full & ~clash
                 if residual not in seen:
-                    key = _order_key(s, residual)
-                    rows_of = known.setdefault(key[0], {})
-                    packed = key[1] if len(key) == 2 else key[1:]
+                    labels, packed = _order_key(s, residual)
+                    rows_of = known.setdefault(labels, {})
                     c = rows_of.get(packed)
                     if c is None:
                         c = rows_of[packed] = class_of(mask | group, clash)
@@ -506,16 +505,18 @@ def pomset_trace_equiv(sa: EventStructure, sb: EventStructure = None, *, witness
 
 
 class Pair:
-    """One memo per side, plus what pt, pb, whb, hb and hhb share, each
-    computed on first use: the code comparison, whb's classes and the
-    configuration pairs they relate, and one set of triples.  whb, hb and
-    hhb read one gate, `whb_classes`, and hold none of their own.  The
-    triples start as the universe; hb prunes them in place, hhb a copy.
-    Both starts reach hhb's fixpoint: every hhb bisimulation is an hb one,
-    and pruning is monotone.  A pair lives for one `check` or `full_matrix` call."""
+    """One memo per side, plus what ib, sb, pb, pt, whb, hb and hhb share,
+    each computed on first use: the two-round gate per mode, the code
+    comparison, whb's classes and the configuration pairs they relate, and
+    one set of triples.  whb, hb and hhb read one gate, `whb_classes`, and
+    hold none of their own.  The triples start as the universe; hb prunes
+    them in place, hhb a copy.  Both starts reach hhb's fixpoint: every hhb
+    bisimulation is an hb one, and pruning is monotone.  A pair lives for
+    one `check` or `full_matrix` call."""
 
     def __init__(self, ma: Semantics, mb: Semantics):
         self.ma, self.mb = ma, mb
+        self.gates = {}  # mode -> (`two_rounds_agree`, the `_two_rounds` test it built)
 
     def two_rounds_agree(self, mode):
         """Whether the roots agree for two rounds of the bisimulation game in
@@ -523,15 +524,19 @@ class Pair:
         pass `semantics._refuse`; one memo agrees with itself unread.  In
         the pomset mode every configuration is one move from the root, so
         a second round would read the whole system: only the roots' labels,
-        the nonempty configurations' codes, are compared (`codes_agree`)."""
-        ma, mb = self.ma, self.mb
-        _refuse(ma.s, mode)
-        _refuse(mb.s, mode)
-        if ma is mb:
-            return True
-        if mode == MODE_POMSET:
-            return self.codes_agree
-        return _two_rounds(lambda i: ma.moves(i, mode), lambda i: mb.moves(i, mode))(0, 0)
+        the nonempty configurations' codes, are compared (`codes_agree`).
+        The verdict is made once per mode and kept in `gates`, with the
+        `_two_rounds` test it built, unread in the pomset mode, for a
+        witness line."""
+        gate = self.gates.get(mode)
+        if gate is None:
+            ma, mb = self.ma, self.mb
+            _refuse(ma.s, mode)
+            _refuse(mb.s, mode)
+            same = _two_rounds(lambda i: ma.moves(i, mode), lambda i: mb.moves(i, mode))
+            agree = ma is mb or (self.codes_agree if mode == MODE_POMSET else same(0, 0))
+            gate = self.gates[mode] = agree, same
+        return gate[0]
 
     @classmethod
     def of(cls, sa, sb=None):
@@ -781,7 +786,8 @@ def check(rel: Relation, sa: EventStructure, sb: EventStructure = None, *, witne
     reaches and stops at the first label one side lacks.  For ib, sb and
     pb `Pair.two_rounds_agree` comes first: where the attacker wins within
     two moves (one for pb) the verdict is False, no class pass runs, and
-    the witness is `_bisim_line` with `_two_rounds` as its class test.
+    the witness is `_bisim_line` with the gate's `_two_rounds` test as its
+    class test.
     whb, hb and hhb read one gate (`Pair.whb_classes`): all three fail at
     once, with no class pass or triple, when the interleaving roots
     disagree within two rounds or the code sets differ; else whb's classes
@@ -797,7 +803,7 @@ def check(rel: Relation, sa: EventStructure, sb: EventStructure = None, *, witne
             return _bisim(moves_a, moves_b, ma.configurations, mb.configurations, mode, witness)
         if not witness:
             return False
-        same = _two_rounds(moves_a, moves_b)  # never read in the pomset mode
+        same = pair.gates[mode][1]  # never read in the pomset mode
         return False, _bisim_line(moves_a, moves_b, ma.configurations, mb.configurations, same)
     if rel not in _ON_MEMOS:
         raise ValueError(f"unknown relation {rel!r}")

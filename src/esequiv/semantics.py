@@ -28,7 +28,6 @@ from .structure import (
     EventStructure,
     _bits,
     _labelled_canon,
-    canonical_form,
     restrict,
 )
 
@@ -115,11 +114,6 @@ def poset_of(s: EventStructure, mask: int) -> EventStructure:
     if not is_configuration(s, mask):
         raise NotAConfiguration(f"{config_text(mask)} is not a configuration")
     return restrict(s, mask)
-
-
-def pomset_code(poset: EventStructure) -> bytes:
-    """Canonical code of a labelled poset; equal iff poset-isomorphic."""
-    return canonical_form(poset)
 
 
 def config_text(mask: int) -> str:
@@ -217,15 +211,14 @@ class Semantics:
         anything is canonized; a miss is canonized from its key."""
         got = self._codes.get(mask)
         if got is None:
-            key = _order_key(self.s, mask)
+            labels, rows = key = _order_key(self.s, mask)
             got = _POMSET_CODES.get(key)
             if got is None:
                 got = _canonize(key)
                 if len(_POMSET_CODES) >= MAX_POMSET_CODES:
                     _POMSET_CODES.clear()
                     _LABELS.clear()
-                labels = key[0]
-                _POMSET_CODES[(_LABELS.setdefault(labels, labels),) + key[1:]] = got
+                _POMSET_CODES[_LABELS.setdefault(labels, labels), rows] = got
             self._codes[mask] = got
         return got
 
@@ -283,13 +276,14 @@ class Semantics:
 
 def _order_key(s: EventStructure, mask: int):
     """The structure induced by the events in mask, with its events
-    renumbered by (label, causes in mask, effects in mask), ties by event id:
-    its labels, one int packing each event's causes (k bits per event for k
-    events), and, only when mask holds a conflict, one packing the conflicts
-    alike.  Equal keys mean equal renumbered structures, so isomorphic ones;
-    isomorphic structures may still have different keys.  A configuration,
-    or the difference of two, holds no conflict, so its key never equals
-    one that does."""
+    renumbered by (label, causes in mask, effects in mask), ties by event id,
+    as the pair (labels, rows).  rows is one int packing each event's causes
+    (k bits per event for k events), and, only when mask holds a conflict,
+    the pair of that int and one packing the conflicts alike.  Equal keys
+    mean equal renumbered structures, so isomorphic ones; isomorphic
+    structures may still have different keys.  A configuration, or the
+    difference of two, holds no conflict, so its key never equals one that
+    does."""
     down = s.down
     effects = [0] * len(down)
     kept = []
@@ -316,7 +310,6 @@ def _order_key(s: EventStructure, mask: int):
     packed = 0
     for c, e in pairs:  # row pos[e] holds the bit pos[c]
         packed |= 1 << (pos[e] * k + pos[c])
-    key = tuple([row[0] for row in order]), packed
     conflicts = s.conflicts
     clashes = 0
     for e in kept:
@@ -325,22 +318,21 @@ def _order_key(s: EventStructure, mask: int):
             low = rivals & -rivals
             rivals ^= low
             clashes |= 1 << (pos[e] * k + pos[low.bit_length() - 1])
-    return key + (clashes,) if clashes else key
+    return tuple([row[0] for row in order]), (packed, clashes) if clashes else packed
 
 
 def _canonize(key):
     """Pomset code of the structure an `_order_key` describes, canonized
     from its unpacked rows: no structure is built."""
-    labels, causes = key[0], key[1]
-    conflicts = key[2] if len(key) > 2 else 0
+    labels, rows = key
+    causes, conflicts = rows if isinstance(rows, tuple) else (rows, 0)
     k = len(labels)
     row = (1 << k) - 1
-    enc, _ = _labelled_canon(
+    return _labelled_canon(
         labels,
         [causes >> i * k & row for i in range(k)],
         [conflicts >> i * k & row for i in range(k)],
-    )
-    return enc
+    )[0]
 
 
 def _refuse(s: EventStructure, mode: str):

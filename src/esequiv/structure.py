@@ -205,12 +205,7 @@ def classify(s: EventStructure):
 
 def canonical_form(s: EventStructure) -> bytes:
     """Canonical bytes; equal for two structures iff they are isomorphic."""
-    enc, _ = _canon_with_perm(s)
-    return enc
-
-
-def _canon_with_perm(s: EventStructure):
-    return _labelled_canon(s.labels, s.down, s.conflicts)
+    return _labelled_canon(s.labels, s.down, s.conflicts)[0]
 
 
 def _labelled_canon(labels, down, cf):
@@ -250,8 +245,8 @@ def isomorphic(s: EventStructure, t: EventStructure):
     """Decide isomorphism; on success also return a witness bijection s -> t."""
     if s.n != t.n or sorted(s.labels) != sorted(t.labels):
         return False, None
-    enc_s, perm_s = _canon_with_perm(s)
-    enc_t, perm_t = _canon_with_perm(t)
+    enc_s, perm_s = _labelled_canon(s.labels, s.down, s.conflicts)
+    enc_t, perm_t = _labelled_canon(t.labels, t.down, t.conflicts)
     if enc_s != enc_t:
         return False, None
     return True, dict(zip(perm_s, perm_t))

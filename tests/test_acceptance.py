@@ -19,7 +19,6 @@ from esequiv.semantics import (
     build_lts,
     configurations,
     has_autoconcurrency,
-    pomset_code,
     poset_of,
     trace_language,
 )
@@ -30,7 +29,7 @@ from esequiv.spectrum import (
     corpus_pairs,
     verify_spectrum,
 )
-from esequiv.structure import build, isomorphic
+from esequiv.structure import build, canonical_form, isomorphic
 
 from conftest import random_structure
 from oracles import o_matrix
@@ -155,11 +154,11 @@ def test_c4_walkthrough_semantics():
         ok = False
         detail.append("joint-step")
     poms = build_lts(s, MODE_POMSET).transitions
-    chain_code = pomset_code(from_expr("a;b"))
+    chain_code = canonical_form(from_expr("a;b"))
     if (0, chain_code, 0b1100) not in poms:
         ok = False
         detail.append("chain-pomset-transition")
-    if pomset_code(poset_of(s, 0b1100)) != chain_code:
+    if canonical_form(poset_of(s, 0b1100)) != chain_code:
         ok = False
         detail.append("chain-pomset-code")
     _report("4 walkthrough-semantics", ok, ",".join(detail))

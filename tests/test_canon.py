@@ -12,7 +12,7 @@ from esequiv.search import _poset_levels, enumerate_posets
 from esequiv.spectrum import CorpusSpec, builtin_fixtures, corpus_pairs
 from esequiv.structure import (
     EventStructure,
-    _canon_with_perm,
+    _labelled_canon,
     build,
     canonical_form,
     isomorphic,
@@ -117,7 +117,7 @@ def test_canonical_bytes_are_pinned():
     inputs += [s for _, left, _, right in corpus for s in (left, right)]
     digest = hashlib.sha256()
     for s in inputs:
-        enc, perm = _canon_with_perm(s)
+        enc, perm = _labelled_canon(s.labels, s.down, s.conflicts)
         digest.update(len(enc).to_bytes(4, "big") + enc + bytes(perm))
     assert len(inputs) == 16_791 + 2 * len(builtin_fixtures()) + 100
     assert digest.hexdigest() == CANON_DIGEST

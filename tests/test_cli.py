@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +64,20 @@ class TestCheck:
             inputs = inputs[2:] + inputs[:2]
         assert run(["check", "it", "--witness"] + inputs) == 1
         assert f"TraceWitness(side='{side}', sequence=('a', 'a'))" in out_of(capsys)
+
+
+@pytest.mark.parametrize("module", ["esequiv", "esequiv.cli"])
+def test_python_dash_m_runs_the_command_line(module):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+    def check_it(right):
+        argv = [sys.executable, "-m", module, "check", "it", "--expr", "a", "--expr", right]
+        return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+
+    apart, same = check_it("b"), check_it("a")
+    assert (apart.returncode, apart.stdout) == (1, "it: not related\n"), apart.stderr
+    assert (same.returncode, same.stdout) == (0, "it: related\n"), same.stderr
 
 
 class TestMatrix:

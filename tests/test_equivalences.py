@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import math
 import random
 import time
@@ -542,6 +543,28 @@ class TestRootRefutation:
         atoms, chain = from_expr("||".join(["a"] * 12)), from_expr(";".join(["a"] * 12))
         ok, wit = check(R.SB, atoms, chain, witness=True)
         assert not ok and wit.moves == (("left", ("a", "a")),)
+
+    def test_one_two_round_test_per_mode(self, monkeypatch):
+        # ib and whb's gate read one interleaving verdict, and a refuted
+        # witness reuses the test the gate built
+        built = Counter()
+        real = eq._two_rounds
+
+        def counted(moves_a, moves_b):
+            built[inspect.getclosurevars(moves_a).nonlocals["mode"]] += 1
+            return real(moves_a, moves_b)
+
+        monkeypatch.setattr(eq, "_two_rounds", counted)
+        pairs = [(fx.left, fx.right) for fx in builtin_fixtures()]
+        corpus = corpus_pairs(CorpusSpec("pes", 30, 5, seed=1))
+        pairs += [(left, right) for _, left, _, right in corpus]
+        refuted = 0
+        for left, right in pairs:
+            built.clear()
+            got = full_matrix(left, right, witness=True)
+            assert set(built) <= set(MODES) and max(built.values(), default=0) <= 1, built
+            refuted += not got[R.IB]
+        assert refuted
 
     @pytest.mark.parametrize("mode", MODES)
     def test_stuck_side_reads_no_class(self, mode):
