@@ -34,12 +34,7 @@ from .semantics import (
     MODE_STEP,
     Lts,
     Semantics,
-    _enabled,
-    _event_rows,
-    _moves,
     _order_key,
-    _pomset_rows,
-    _refuse,
 )
 from .structure import EventStructure, _bits, isomorphic
 
@@ -269,21 +264,22 @@ class _LanguageTable:
         root is first looked up by its residual's `_order_key` in the
         table's map for the mode, nested as labels -> packed rows -> class
         id: equal keys mean isomorphic residuals, so bisimilar states.  Only
-        a miss is expanded, its moves made by `semantics._moves` as in
-        `build_lts` and interned by `_class_id`, so ids are equal iff the
-        states are bisimilar.  Raises what `semantics._refuse` raises, then
-        `SizeLimit` past `MAX_CONFIGURATIONS` expanded states or past
-        `MAX_TRANSITIONS` moves.  The residual is C's future only when
-        conflicts are inherited along causality, as `build` closes them, so
-        a structure whose conflicts are not raises `ValidationError`, as
-        unclosed causality does in the pomset mode (`_refuse`).
+        a miss is expanded, its moves listed by the memo (`Semantics.groups`)
+        as `build_lts` lists them and interned by `_class_id`, so ids are
+        equal iff the states are bisimilar.  Raises what the memo refuses in
+        the mode (`Semantics.refuse`), then `SizeLimit` past
+        `MAX_CONFIGURATIONS` expanded states or past the memo's
+        `MAX_TRANSITIONS` moves in the mode.  The residual is C's future
+        only when conflicts are inherited along causality, as `build`
+        closes them, so a structure whose conflicts are not raises
+        `ValidationError`, as unclosed causality does in the pomset mode.
         """
         got = self._roots.get(mode, {}).get(id(s.s if isinstance(s, Semantics) else s))
         if got is not None:
             return got
         sem = Semantics.of(s)
         s = sem.s
-        _refuse(s, mode)
+        sem.refuse(mode)
         conflicts, full = s.conflicts, s.all_mask
         if any(conflicts) and any(
             conflicts[d] & ~conflicts[e] for e in range(s.n) for d in _bits(s.down[e])
@@ -291,27 +287,22 @@ class _LanguageTable:
             raise ValidationError("conflicts are not inherited along causality")
         table = self.classes
         known = self._residuals.setdefault(mode, {})
-        rows = (_pomset_rows if mode == MODE_POMSET else _event_rows)(s)
-        names = {}  # group mask -> its label, as `build_lts` spells it
-        label_ids = {}  # group mask -> its label id
         seen = {}  # residual mask -> class id, within this structure
-        expanded = count = 0
+        expanded = 0
 
         def class_of(mask, blocked):
             # blocked: the events of mask and of its conflicts
-            nonlocal expanded, count
+            nonlocal expanded
             expanded += 1
             if expanded > MAX_CONFIGURATIONS:
                 raise SizeLimit(
                     f"at least {expanded} configurations to expand; "
                     f"limit is {MAX_CONFIGURATIONS}"
                 )
-            groups, count = _moves(sem, _enabled(rows, mask), mode, count, names)
+            groups, names = sem.groups(mask, mode)
             moves = []
             for group in groups:
-                label = label_ids.get(group)
-                if label is None:
-                    label = label_ids[group] = table.setdefault(names[group], len(table))
+                label = table.setdefault(names[group], len(table))
                 clash = blocked | group
                 for e in _bits(group):
                     clash |= conflicts[e]
@@ -505,14 +496,15 @@ def pomset_trace_equiv(sa: EventStructure, sb: EventStructure = None, *, witness
 
 
 class Pair:
-    """One memo per side, plus what ib, sb, pb, pt, whb, hb and hhb share,
-    each computed on first use: the two-round gate per mode, the code
-    comparison, whb's classes and the configuration pairs they relate, and
-    one set of triples.  whb, hb and hhb read one gate, `whb_classes`, and
-    hold none of their own.  The triples start as the universe; hb prunes
-    them in place, hhb a copy.  Both starts reach hhb's fixpoint: every hhb
-    bisimulation is an hb one, and pruning is monotone.  A pair lives for
-    one `check` or `full_matrix` call."""
+    """One memo per side, whose moves every decider reads through `moves`,
+    plus what ib, sb, pb, pt, whb, hb and hhb share, each computed on first
+    use: the two-round gate per mode, the code comparison, whb's classes
+    and the configuration pairs they relate, and one set of triples.  whb,
+    hb and hhb read one gate, `whb_classes`, and hold none of their own.
+    The triples start as the universe; hb prunes them in place, hhb a copy.
+    Both starts reach hhb's fixpoint: every hhb bisimulation is an hb one,
+    and pruning is monotone.  A pair lives for one `check` or `full_matrix`
+    call."""
 
     def __init__(self, ma: Semantics, mb: Semantics):
         self.ma, self.mb = ma, mb
@@ -521,7 +513,7 @@ class Pair:
     def two_rounds_agree(self, mode):
         """Whether the roots agree for two rounds of the bisimulation game in
         `mode` (`_two_rounds`), read without a class pass, once both sides
-        pass `semantics._refuse`; one memo agrees with itself unread.  In
+        refuse the mode (`moves`); one memo agrees with itself unread.  In
         the pomset mode every configuration is one move from the root, so
         a second round would read the whole system: only the roots' labels,
         the nonempty configurations' codes, are compared (`codes_agree`).
@@ -530,13 +522,21 @@ class Pair:
         witness line."""
         gate = self.gates.get(mode)
         if gate is None:
-            ma, mb = self.ma, self.mb
-            _refuse(ma.s, mode)
-            _refuse(mb.s, mode)
-            same = _two_rounds(lambda i: ma.moves(i, mode), lambda i: mb.moves(i, mode))
-            agree = ma is mb or (self.codes_agree if mode == MODE_POMSET else same(0, 0))
+            same = _two_rounds(*self.moves(mode))
+            agree = self.ma is self.mb or (self.codes_agree if mode == MODE_POMSET else same(0, 0))
             gate = self.gates[mode] = agree, same
         return gate[0]
+
+    def moves(self, mode):
+        """The two memos' moves functions in `mode`, state index -> sorted
+        (label, target index) moves (`Semantics.moves`), once both memos
+        refuse the mode (`Semantics.refuse`), left then right: so the event
+        bound of both sides comes before the configurations or the moves of
+        either side are listed."""
+        ma, mb = self.ma, self.mb
+        ma.refuse(mode)
+        mb.refuse(mode)
+        return (lambda i: ma.moves(i, mode)), (lambda i: mb.moves(i, mode))
 
     @classmethod
     def of(cls, sa, sb=None):
@@ -579,10 +579,10 @@ class Pair:
         if not (self.two_rounds_agree(MODE_INTERLEAVING) and self.codes_agree):
             return None
         table, cls = {}, []
-        for m in (self.ma, self.mb):
+        for m, moves in zip((self.ma, self.mb), self.moves(MODE_INTERLEAVING)):
             states = m.configurations
             cls.append(_classes(
-                lambda i: m.moves(i, MODE_INTERLEAVING), len(states), table,
+                moves, len(states), table,
                 lambda v: table.setdefault(m.code(states[v]), len(table)),
             ))
         return tuple(cls) if cls[0][0] == cls[1][0] else None
@@ -779,9 +779,10 @@ def check(rel: Relation, sa: EventStructure, sb: EventStructure = None, *, witne
     """Decide one relation between two structures (or memos of them, or
     one `Pair`).
 
-    No relation builds a transition system: each reads the memos' moves,
-    and makes every one, or reads a full set of pomset codes, only when
-    its verdict cannot be had without it.  it and st run one subset search
+    No relation builds a transition system: each reads the memos' moves
+    (`Pair.moves`, which refuses both sides first), and makes every one,
+    or reads a full set of pomset codes, only when its verdict cannot be
+    had without it.  it and st run one subset search
     (`_trace_search`), which makes the moves of only the configurations it
     reaches and stops at the first label one side lacks.  For ib, sb and
     pb `Pair.two_rounds_agree` comes first: where the attacker wins within
@@ -796,7 +797,7 @@ def check(rel: Relation, sa: EventStructure, sb: EventStructure = None, *, witne
     ma, mb = pair.ma, pair.mb
     mode = _MODE_OF.get(rel)
     if mode is not None:
-        moves_a, moves_b = (lambda i: ma.moves(i, mode)), (lambda i: mb.moves(i, mode))
+        moves_a, moves_b = pair.moves(mode)
         if rel not in _BY_BISIM:
             return _trace_search(moves_a, moves_b, witness)
         if pair.two_rounds_agree(mode):

@@ -12,9 +12,10 @@ configurations:
 
 The deciders read a `Semantics` memo's moves: per configuration, in
 (size, mask) order with the empty one at index 0, its sorted (label, target
-index) moves, made on first request.  A transition system (`Lts`) is the
-same table built whole, with every state's moves shared with the memo; it
-is built only where a caller asks for one (`build_lts`).
+index) moves, made on first request by the memo, which owns each mode.
+A transition system (`Lts`) is the same table built whole, with every
+state's moves shared with the memo; it is built only where a caller asks
+for one (`build_lts`).
 """
 
 from __future__ import annotations
@@ -163,11 +164,14 @@ class Semantics:
     """The facts about one structure that the relations read, each computed
     on first use: configurations, enabled events, pomset codes (as one set,
     and one set per configuration size), and each configuration's moves per
-    mode.  A configuration's moves are made when a decider first asks for
-    them and kept, so a trace search expands only the configurations it
-    reaches, and a class pass or a system built later (`build_lts`) reuses
-    them; the moves of one memo and mode count together against
-    `MAX_TRANSITIONS`.  The memo caches moves, never a system.
+    mode.  The memo owns each mode: the first request in a mode refuses the
+    structure (`refuse`), and one record keeps the mode's rows, group
+    labels, transition count and moves.  A configuration's moves are made
+    when a decider first asks for them and kept, so a trace search expands
+    only the configurations it reaches, and a class pass or a system built
+    later (`build_lts`) reuses them; the moves of one memo and mode count
+    together against `MAX_TRANSITIONS`.  The memo caches moves, never a
+    system.
 
     A memo lives for one call (one pair check, one search key or bucket),
     holds nothing about a pair, and is never attached to the structure or
@@ -185,10 +189,9 @@ class Semantics:
     def __init__(self, s: EventStructure):
         self.s = s
         self._codes = {}
-        # mode -> (per configuration index its moves or None, group -> its
-        # label, the `_pomset_rows` its pomset moves are listed from, else None)
-        self._listed = {}
-        self._made = dict.fromkeys(MODES, 0)  # mode -> moves listed so far
+        # mode -> [configuration index -> its moves, group -> its label,
+        # moves listed so far, the rows `groups` scans, or None until read]
+        self._modes = {}
         self._sized = {}  # size -> the codes of the configurations of that size
 
     @classmethod
@@ -244,29 +247,83 @@ class Semantics:
             got = self._sized[k] = frozenset(map(self.code, self._by_size[k]))
         return got
 
+    def refuse(self, mode: str):
+        """The record of `mode` (see `__init__`), made on the first request
+        in the mode once `_refuse` passes the structure, so each memo
+        refuses each mode once, before it lists a move in it."""
+        got = self._modes.get(mode)
+        if got is None:
+            _refuse(self.s, mode)
+            got = self._modes[mode] = [{}, {}, 0, None]
+        return got
+
     def moves(self, i: int, mode: str):
         """The sorted (label, target index) moves in `mode` of the i-th
-        configuration (of `configurations`; 0 is the root), made by `_moves`
-        on first request and kept.  `build_lts` shares these tuples, so a
-        system holds no second copy of them.  The first request in a mode
-        raises what `build_lts` raises before it makes a move; the moves
-        made in a mode count together against `MAX_TRANSITIONS`, raising
-        `SizeLimit` with `build_lts`'s message."""
-        listed = self._listed.get(mode)
-        if listed is None:
-            _refuse(self.s, mode)
-            known = [None] * len(self.configurations)
-            rows = _pomset_rows(self.s) if mode == MODE_POMSET else None
-            listed = self._listed[mode] = (known, {}, rows)
-        known, names, rows = listed
-        got = known[i]
+        configuration (of `configurations`; 0 is the root), listed by
+        `groups` on first request and kept.  `build_lts` shares these
+        tuples, so a system holds no second copy of them."""
+        listed = self._modes.get(mode) or self.refuse(mode)
+        got = listed[0].get(i)
         if got is None:
             mask = self.configurations[i]
-            events = self.enabled[mask] if rows is None else _enabled(rows, mask)
-            groups, self._made[mode] = _moves(self, events, mode, self._made[mode], names)
+            groups, names = self.groups(mask, mode)
             index = self._index
-            got = known[i] = tuple(sorted([(names[g], index[mask | g]) for g in groups]))
+            got = listed[0][i] = tuple(sorted([(names[g], index[mask | g]) for g in groups]))
         return got
+
+    def groups(self, mask: int, mode: str):
+        """The moves in `mode` of the configuration `mask`: the list of
+        their groups, a group being the mask of the events a move adds, and
+        the mode's labels, group -> its label.  In the interleaving mode
+        there is one group per addable event.  Else each addable event,
+        listed causes first, extends every group kept so far that it has no
+        conflict with and that holds its causes among those events: steps
+        from the addable events, pomset moves from those `_pomset_rows`
+        lists.  Addable events are the expansion's (`enabled`) once it is
+        made, else read off the mode's rows.
+
+        The moves listed in a mode count together: past `MAX_TRANSITIONS`
+        this raises `SizeLimit` before any group is labelled (the list
+        stops growing once past the moves left, at most about twice).  Each
+        group's label, its event's label, the sorted labels of its events,
+        or its code (`code`), is made once per mode and kept."""
+        listed = self._modes.get(mode) or self.refuse(mode)
+        _, names, count, rows = listed
+        s = self.s
+        enabled = self.__dict__.get("enabled")
+        if mode == MODE_POMSET or enabled is None:
+            if rows is None:
+                rows = listed[3] = (_pomset_rows if mode == MODE_POMSET else _event_rows)(s)
+            events = _enabled(rows, mask)
+        else:
+            events = enabled[mask]
+        if mode == MODE_INTERLEAVING:
+            groups = [1 << e for e in events]
+        else:
+            conflicts, down = s.conflicts, s.down
+            room = MAX_TRANSITIONS - count + 1
+            groups, seen = [0], 0  # seen: the events listed so far
+            for e in events:
+                bit, clash, need = 1 << e, conflicts[e], down[e] & seen
+                groups += [g | bit for g in groups if not clash & g and g & need == need]
+                seen |= bit
+                if len(groups) > room:
+                    break
+            del groups[0]
+        count += len(groups)
+        if count > MAX_TRANSITIONS:
+            raise SizeLimit(f"at least {count} {mode} transitions; limit is {MAX_TRANSITIONS}")
+        listed[2] = count
+        labels = s.labels
+        for group in groups:
+            if group not in names:
+                if mode == MODE_INTERLEAVING:
+                    names[group] = labels[group.bit_length() - 1]
+                elif mode == MODE_STEP:
+                    names[group] = tuple(sorted([labels[e] for e in _bits(group)]))
+                else:
+                    names[group] = self.code(group)
+        return groups, names
 
     @cached_property
     def _index(self):
@@ -336,11 +393,11 @@ def _canonize(key):
 
 
 def _refuse(s: EventStructure, mode: str):
-    """Raise what `build_lts` raises before it reads any configuration: an
-    unknown mode, or more than `MAX_LTS_EVENTS` events, and in the pomset
-    mode `ValidationError` when causality is not a transitively closed
-    strict order, as `build` makes it, since `_pomset_rows` lists causes
-    first by their count."""
+    """Raise what a memo refuses in a mode before it reads any
+    configuration (`Semantics.refuse`): an unknown mode, or more than
+    `MAX_LTS_EVENTS` events, and in the pomset mode `ValidationError` when
+    causality is not a transitively closed strict order, as `build` makes
+    it, since `_pomset_rows` lists causes first by their count."""
     if mode not in MODES:
         raise ModeMismatch(f"unknown mode {mode!r}")
     if s.n > MAX_LTS_EVENTS:
@@ -357,12 +414,12 @@ def _refuse(s: EventStructure, mode: str):
 
 def build_lts(s: EventStructure | Semantics, mode: str) -> Lts:
     """Full transition system of the structure under the given mode, every
-    state's moves read through `Semantics.moves`, so made by `_moves` once
-    per memo; raises `SizeLimit` past `MAX_TRANSITIONS` transitions.  The
-    pomset mode needs causality closed as `build` closes it (see
-    `_refuse`)."""
+    state's moves read through `Semantics.moves`, so listed once per memo,
+    once the memo refuses the mode (`Semantics.refuse`); raises `SizeLimit`
+    past `MAX_TRANSITIONS` transitions.  The pomset mode needs causality
+    closed as `build` closes it (see `_refuse`)."""
     sem = Semantics.of(s)
-    _refuse(sem.s, mode)
+    sem.refuse(mode)
     states = sem.configurations
     return Lts(mode, states, tuple([sem.moves(i, mode) for i in range(len(states))]))
 
@@ -373,8 +430,8 @@ def _pomset_rows(s: EventStructure):
     first, none waited for, and each event kept out by its causes'
     conflicts too (which add nothing where `build` closed them).  Causes
     come first by count, which lists them first only where causality is a
-    transitively closed strict order; `_refuse` refuses other structures in
-    the pomset mode before these rows are read."""
+    transitively closed strict order; a memo refuses other structures in
+    the pomset mode before these rows are read (`_refuse`)."""
     conflicts = s.conflicts
     rows = []
     for e, down, blocked in _event_rows(s):
@@ -382,46 +439,6 @@ def _pomset_rows(s: EventStructure):
             blocked |= conflicts[d]
         rows.append((down.bit_count(), e, blocked))
     return [(e, 0, blocked) for _, e, blocked in sorted(rows)]
-
-
-def _moves(sem: Semantics, events, mode, count, names):
-    """The moves of a configuration as group masks, in any mode: in the
-    interleaving one each of `events`, its addable events.  Else each of
-    `events`, listed causes first, extends every group kept so far that it
-    has no conflict with and that holds its causes among `events`: steps
-    from the addable events, pomset moves from those `_pomset_rows` lists.
-    `count` moves were made before; the new count is returned, and past
-    `MAX_TRANSITIONS` raises `SizeLimit` before any group is labelled (the
-    list stops growing once past the moves left, at most about twice).
-    `names` is left holding each group's label: its event's label, the
-    sorted labels of its events, or its code (`Semantics.code`)."""
-    s = sem.s
-    if mode == MODE_INTERLEAVING:
-        groups = [1 << e for e in events]
-    else:
-        conflicts, down = s.conflicts, s.down
-        room = MAX_TRANSITIONS - count + 1
-        groups, seen = [0], 0  # seen: the events listed so far
-        for e in events:
-            bit, clash, need = 1 << e, conflicts[e], down[e] & seen
-            groups += [g | bit for g in groups if not clash & g and g & need == need]
-            seen |= bit
-            if len(groups) > room:
-                break
-        del groups[0]
-    count += len(groups)
-    if count > MAX_TRANSITIONS:
-        raise SizeLimit(f"at least {count} {mode} transitions; limit is {MAX_TRANSITIONS}")
-    labels = s.labels
-    for group in groups:
-        if group not in names:
-            if mode == MODE_INTERLEAVING:
-                names[group] = labels[group.bit_length() - 1]
-            elif mode == MODE_STEP:
-                names[group] = tuple(sorted([labels[e] for e in _bits(group)]))
-            else:
-                names[group] = sem.code(group)
-    return groups, count
 
 
 def trace_language(lts: Lts, limit: int = 1_000_000):

@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import inspect
 import math
 import random
 import time
+import weakref
 from collections import Counter
 
 import pytest
@@ -444,8 +446,11 @@ class TestRootRefutation:
         "rel", [R.IT, R.ST, R.IB, R.SB, R.WHB, R.PB, R.HB, R.HHB]
     )
     def test_event_bound_comes_first(self, rel):
-        wide = from_expr("||".join(["a"] * 31))
-        for left, right in ((wide, from_expr("a")), (from_expr("a;a"), wide)):
+        # both sides are refused before either lists a configuration: the
+        # 25-atom antichain's 2^25 configurations pass their bound too
+        wide, atoms = from_expr("||".join(["a"] * 31)), from_expr("||".join(["a"] * 25))
+        pairs = ((wide, from_expr("a")), (from_expr("a;a"), wide), (atoms, wide), (wide, atoms))
+        for left, right in pairs:
             with pytest.raises(SizeLimit, match="^structure has 31 events; limit is 30$"):
                 check(rel, left, right)
 
@@ -531,7 +536,7 @@ class TestRootRefutation:
         for w in (False, True):
             ma = Semantics(atoms)
             got = check(R.IB, ma, from_expr("a;b"), witness=w)
-            assert sum(moves is not None for moves in ma._listed[MODE_INTERLEAVING][0]) == 17
+            assert len(ma._modes[MODE_INTERLEAVING][0]) == 17
         line = GameWitness(
             moves=(("left", "a"), ("left", "a")), stuck_side="right", stuck_label="a",
             position=(1, 1),
@@ -565,6 +570,49 @@ class TestRootRefutation:
             assert set(built) <= set(MODES) and max(built.values(), default=0) <= 1, built
             refuted += not got[R.IB]
         assert refuted
+
+    def test_each_memo_refuses_each_mode_once(self, monkeypatch):
+        # the memo owns a mode: the pair's gates, its deciders and a built
+        # system read the refusal its first request made
+        refused = Counter()
+        real = semantics._refuse
+
+        def counted(s, mode):
+            refused[id(s), mode] += 1
+            return real(s, mode)
+
+        monkeypatch.setattr(semantics, "_refuse", counted)
+        # also wherever a module imported it, so that no call goes uncounted
+        monkeypatch.setattr(eq, "_refuse", counted, raising=False)
+        pairs = [(fx.left, fx.right) for fx in builtin_fixtures()]
+        corpus = corpus_pairs(CorpusSpec("pes", 30, 5, seed=1))
+        pairs += [(left, right) for _, left, _, right in corpus]
+        for left, right in pairs:
+            refused.clear()
+            full_matrix(left, right, witness=True)
+            assert refused and max(refused.values()) == 1, refused
+        for mode in MODES:
+            refused.clear()
+            build_lts(from_expr("a;(b||c)+d"), mode)
+            assert list(refused.values()) == [1]
+
+    def test_a_memo_holds_no_cycle(self):
+        # what a memo keeps per mode holds no reference back to it, so a
+        # memo whose moves were read in every mode is freed by reference
+        # counting alone, with no wait for the cycle collector
+        left, right = from_expr("a;(b||c)+d"), from_expr("a||b||c")
+        gc.disable()
+        try:
+            ma, mb = Semantics(left), Semantics(right)
+            refs = weakref.ref(ma), weakref.ref(mb)
+            for mode in MODES:
+                build_lts(ma, mode)
+            for rel in MATRIX_ORDER:
+                check(rel, ma, mb)
+            del ma, mb
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("mode", MODES)
     def test_stuck_side_reads_no_class(self, mode):
@@ -622,9 +670,7 @@ class TestLazyDeciders:
                     assert check(rel, ma, mb, witness=w) == trace_equiv(la, lb, witness=w)
                 # the search makes the moves only of the configurations it
                 # reaches: all of them when it holds, maybe fewer when not
-                expanded = sum(
-                    moves is not None for m in (ma, mb) for moves in m._listed[mode][0]
-                )
+                expanded = sum(len(m._modes[mode][0]) for m in (ma, mb))
                 cut[rel] += expanded < len(la.states) + len(lb.states)
                 related[rel] += trace_equiv(la, lb)
         # both paths are taken for every relation

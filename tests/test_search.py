@@ -320,13 +320,13 @@ class TestResidualRoots:
         assert len(got) < len(structures)
 
     def test_a_repeated_root_expands_nothing(self, monkeypatch):
-        real, made = equivalences._moves, Counter()
+        real, made = Semantics.groups, Counter()
 
-        def moves(sem, events, mode, *args):
+        def groups(sem, mask, mode):
             made[mode] += 1
-            return real(sem, events, mode, *args)
+            return real(sem, mask, mode)
 
-        monkeypatch.setattr(equivalences, "_moves", moves)
+        monkeypatch.setattr(Semantics, "groups", groups)
         table = _LanguageTable()
         s = from_expr("(a;b) || (a + c;a)")
         for mode in MODES:
@@ -629,12 +629,12 @@ class TestSearch:
         # one label, it/ib to 6 events: keying reads every root's
         # interleaving class under the size table, so the fine ib pass finds
         # each one there and expands no state
-        real_moves, real_process = equivalences._moves, search._process_bucket
+        real_groups, real_process = Semantics.groups, search._process_bucket
         inside, made = [False], Counter()
 
-        def moves(*args):
+        def groups(*args):
             made[inside[0]] += 1
-            return real_moves(*args)
+            return real_groups(*args)
 
         def process(*args):
             inside[0] = True
@@ -643,7 +643,7 @@ class TestSearch:
             finally:
                 inside[0] = False
 
-        monkeypatch.setattr(equivalences, "_moves", moves)
+        monkeypatch.setattr(Semantics, "groups", groups)
         monkeypatch.setattr(search, "_process_bucket", process)
         with pytest.raises(NoPairFound):
             find_minimal_pairs(SearchSpec(coarse=R.IT, fine=R.IB, max_events=6))
@@ -652,19 +652,19 @@ class TestSearch:
     def test_pomset_classes_stay_out_of_the_size_table(self, monkeypatch):
         # no key reads pomset classes, so pb groups under a table of its own
         # call and each size table keeps no pomset-mode residual or root
-        real_buckets, real_moves = search._buckets, equivalences._moves
+        real_buckets, real_groups = search._buckets, Semantics.groups
         tables, made = [], Counter()
 
         def buckets(reps, key_of, table):
             tables.append(table)
             return real_buckets(reps, key_of, table)
 
-        def moves(sem, events, mode, *args):
+        def groups(sem, mask, mode):
             made[mode] += 1
-            return real_moves(sem, events, mode, *args)
+            return real_groups(sem, mask, mode)
 
         monkeypatch.setattr(search, "_buckets", buckets)
-        monkeypatch.setattr(equivalences, "_moves", moves)
+        monkeypatch.setattr(Semantics, "groups", groups)
         spec = SearchSpec(coarse=R.PB, fine=R.WHB, max_events=5, alphabet=2, use_filters=False)
         with pytest.raises(NoPairFound):
             find_minimal_pairs(spec)
