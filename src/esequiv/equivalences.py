@@ -23,8 +23,8 @@ import enum
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import chain, islice
+from functools import cached_property, partial
+from itertools import islice
 
 from .errors import ModeMismatch, SizeLimit, SpectrumViolation, ValidationError
 from .semantics import (
@@ -322,6 +322,7 @@ class _LanguageTable:
             self._held.append(s)
             return got
         finally:
+            del class_of  # it holds itself, and through `sem` the memo
             # ids count the table's entries, so the new keys are the last ones
             new = len(table) - len(self._keys)
             self._keys.extend(list(islice(reversed(table), new))[::-1])
@@ -359,13 +360,20 @@ def bisim(la: Lts, lb: Lts, *, witness=False):
     )
 
 
+def _class_pass(moves_a, moves_b, count_a, count_b, tag_a=None, tag_b=None):
+    """The class ids (`_classes`) of both sides' states under one table,
+    left then right, so a left and a right state get equal ids iff they
+    are bisimilar; with a tag per side, iff they are bisimilar through
+    states of equal tags."""
+    table = {}
+    return _classes(moves_a, count_a, table, tag_a), _classes(moves_b, count_b, table, tag_b)
+
+
 def _bisim(moves_a, moves_b, states_a, states_b, mode, witness):
     """Bisimilarity in `mode` of two systems given as `_bisim_line` reads
-    them: a class pass per side under one table; the pairs of equal class
-    back a positive verdict, an attacker line a negative one."""
-    table = {}
-    ca = _classes(moves_a, len(states_a), table)
-    cb = _classes(moves_b, len(states_b), table)
+    them, by one untagged `_class_pass`; the pairs of equal class back a
+    positive verdict, an attacker line a negative one."""
+    ca, cb = _class_pass(moves_a, moves_b, len(states_a), len(states_b))
     ok = ca[0] == cb[0]  # the roots
     if not witness:
         return ok
@@ -384,21 +392,11 @@ def _two_rounds(moves_a, moves_b):
     """same(x, y): whether state x of one moves function and y of the
     other agree for two game rounds, so the attacker needs three moves or
     more to win from them: equal move labels, then equal signatures, the
-    set of (label, the labels of the target's moves) over their moves.  So
-    a pair with unequal labels makes no successor's moves."""
-    sig_a, sig_b = _two_round_signature(moves_a), _two_round_signature(moves_b)
+    set of (label, the labels of the target's moves) over their moves.  A
+    side's signatures are made once per state, in one memo per side keyed
+    by the state.  A pair with unequal labels makes no successor's moves."""
 
-    def same(x, y):
-        return _labels(moves_a(x)) == _labels(moves_b(y)) and sig_a(x) == sig_b(y)
-
-    return same
-
-
-def _two_round_signature(moves):
-    """state -> its two-round signature, made once per state."""
-    made = {}
-
-    def signature(i):
+    def signature(moves, made, i):
         got = made.get(i)
         if got is None:
             got = made[i] = frozenset(
@@ -406,16 +404,12 @@ def _two_round_signature(moves):
             )
         return got
 
-    return signature
+    sig_a, sig_b = partial(signature, moves_a, {}), partial(signature, moves_b, {})
 
+    def same(x, y):
+        return _labels(moves_a(x)) == _labels(moves_b(y)) and sig_a(x) == sig_b(y)
 
-def _unmatched(moves_a, moves_b):
-    """The first attacker move that no answer matches, left moves first,
-    each side's in its sorted order: (side, label), else None."""
-    la, lb = _labels(moves_a), _labels(moves_b)
-    left = (("left", label) for label, _ in moves_a if label not in lb)
-    right = (("right", label) for label, _ in moves_b if label not in la)
-    return next(chain(left, right), None)
+    return same
 
 
 def _bisim_line(moves_a, moves_b, states_a, states_b, same):
@@ -425,8 +419,9 @@ def _bisim_line(moves_a, moves_b, states_a, states_b, same):
     Each side is given by its moves function, state index -> sorted (label,
     target) moves, and its states' masks, as `_trace_search` reads them;
     `same(x, y)` tells whether two state indices are in one class.  At each
-    position the attacker first takes a move no answer matches
-    (`_unmatched`), reading no class, so `same` is never called where a
+    position the attacker first takes a move no answer matches, the first
+    such entry of `options`: left moves first, each side's in its sorted
+    order.  It reads no class there, so `same` is never called where a
     side is stuck.  Otherwise each move attains the distinguishing depth of
     its pair (the fewest moves the attacker needs to win, computed only
     where the line goes) and takes the least deep answer, so the line is
@@ -434,7 +429,9 @@ def _bisim_line(moves_a, moves_b, states_a, states_b, same):
     so taking it first changes no line.  Where the roots' depth is at most
     2, `same` may be `_two_rounds`: the pairs it separates keep their
     depth, the others are deeper than the roots, so the line is the same.
-    The lost position is given as masks.
+    The lost position is given as masks.  The recursive `depth` and `value`
+    are dropped before the line is returned, so the memos their moves
+    functions hold are freed by reference counting.
     """
     memo = {}
 
@@ -456,14 +453,15 @@ def _bisim_line(moves_a, moves_b, states_a, states_b, same):
         return memo[pair]
 
     pair, moves = (0, 0), []
-    while (stuck := _unmatched(moves_a(pair[0]), moves_b(pair[1]))) is None:
+    while (stuck := next((o for o in options(*pair) if not o[2]), None)) is None:
         goal = depth(pair)
         side, label, answers = next(o for o in options(*pair) if value(o[2]) == goal)
         moves.append((side, label))
         pair = min(answers, key=depth)
-    side, label = stuck
+    del depth, value  # each holds the other: a reference cycle
+    side, label, _ = stuck
     return GameWitness(
-        tuple(moves) + (stuck,),
+        tuple(moves) + ((side, label),),
         stuck_side="right" if side == "left" else "left",
         stuck_label=label,
         position=(states_a[pair[0]], states_b[pair[1]]),
@@ -498,9 +496,10 @@ def pomset_trace_equiv(sa: EventStructure, sb: EventStructure = None, *, witness
 class Pair:
     """One memo per side, whose moves every decider reads through `moves`,
     plus what ib, sb, pb, pt, whb, hb and hhb share, each computed on first
-    use: the two-round gate per mode, the code comparison, whb's classes
-    and the configuration pairs they relate, and one set of triples.  whb,
-    hb and hhb read one gate, `whb_classes`, and hold none of their own.
+    use: the two-round gate per mode (None, or the test that refutes the
+    roots), the code comparison, whb's classes and the configuration pairs
+    they relate, and one set of triples.  whb, hb and hhb read one gate,
+    `whb_classes`, and hold none of their own.
     The triples start as the universe; hb prunes them in place, hhb a copy.
     Both starts reach hhb's fixpoint: every hhb bisimulation is an hb one,
     and pruning is monotone.  A pair lives for one `check` or `full_matrix`
@@ -508,7 +507,7 @@ class Pair:
 
     def __init__(self, ma: Semantics, mb: Semantics):
         self.ma, self.mb = ma, mb
-        self.gates = {}  # mode -> (`two_rounds_agree`, the `_two_rounds` test it built)
+        self.gates = {}  # mode -> None if `two_rounds_agree`, else the refuting `_two_rounds` test
 
     def two_rounds_agree(self, mode):
         """Whether the roots agree for two rounds of the bisimulation game in
@@ -517,15 +516,14 @@ class Pair:
         the pomset mode every configuration is one move from the root, so
         a second round would read the whole system: only the roots' labels,
         the nonempty configurations' codes, are compared (`codes_agree`).
-        The verdict is made once per mode and kept in `gates`, with the
-        `_two_rounds` test it built, unread in the pomset mode, for a
-        witness line."""
-        gate = self.gates.get(mode)
-        if gate is None:
+        The verdict is made once per mode and kept in `gates`: None where
+        the roots agree, else the `_two_rounds` test that refutes them, the
+        class test of the witness line (unread in the pomset mode)."""
+        if mode not in self.gates:
             same = _two_rounds(*self.moves(mode))
             agree = self.ma is self.mb or (self.codes_agree if mode == MODE_POMSET else same(0, 0))
-            gate = self.gates[mode] = agree, same
-        return gate[0]
+            self.gates[mode] = None if agree else same
+        return self.gates[mode] is None
 
     def moves(self, mode):
         """The two memos' moves functions in `mode`, state index -> sorted
@@ -567,25 +565,24 @@ class Pair:
 
     @cached_property
     def whb_classes(self):
-        """Class ids of both sides' interleaving states under one table, each
-        state tagged with the pomset code of its configuration, when whb
-        holds; else None.  It fails with no class pass when the interleaving
-        roots disagree within two rounds (`two_rounds_agree`), since whb's
-        answers are interleaving moves too, or when the code sets differ
+        """Class ids of both sides' interleaving states, each tagged with
+        the pomset code of its configuration, when whb holds; else None.
+        It fails with no class pass when the interleaving roots disagree
+        within two rounds (`two_rounds_agree`), since whb's answers are
+        interleaving moves too, or when the code sets differ
         (`codes_agree`): the attacker then plays the interleaving path to a
-        configuration whose pomset the other side lacks.  Otherwise one rank
-        pass over both memos' moves gives equal ids iff whb relates the two
+        configuration whose pomset the other side lacks.  Otherwise the
+        bisimulations' two-sided pass (`_class_pass`), with each state's
+        code itself as its tag, gives equal ids iff whb relates the two
         states, and whb holds iff the roots' ids are equal."""
         if not (self.two_rounds_agree(MODE_INTERLEAVING) and self.codes_agree):
             return None
-        table, cls = {}, []
-        for m, moves in zip((self.ma, self.mb), self.moves(MODE_INTERLEAVING)):
-            states = m.configurations
-            cls.append(_classes(
-                moves, len(states), table,
-                lambda v: table.setdefault(m.code(states[v]), len(table)),
-            ))
-        return tuple(cls) if cls[0][0] == cls[1][0] else None
+        ma, mb = self.ma, self.mb
+        ca, cb = _class_pass(
+            *self.moves(MODE_INTERLEAVING), len(ma.configurations), len(mb.configurations),
+            lambda v: ma.code(ma.configurations[v]), lambda v: mb.code(mb.configurations[v]),
+        )
+        return (ca, cb) if ca[0] == cb[0] else None
 
     @cached_property
     def whb_pairs(self):
@@ -787,8 +784,8 @@ def check(rel: Relation, sa: EventStructure, sb: EventStructure = None, *, witne
     reaches and stops at the first label one side lacks.  For ib, sb and
     pb `Pair.two_rounds_agree` comes first: where the attacker wins within
     two moves (one for pb) the verdict is False, no class pass runs, and
-    the witness is `_bisim_line` with the gate's `_two_rounds` test as its
-    class test.
+    the witness is `_bisim_line` with the refuting test the gate keeps
+    (`Pair.gates`) as its class test.
     whb, hb and hhb read one gate (`Pair.whb_classes`): all three fail at
     once, with no class pass or triple, when the interleaving roots
     disagree within two rounds or the code sets differ; else whb's classes
@@ -804,7 +801,7 @@ def check(rel: Relation, sa: EventStructure, sb: EventStructure = None, *, witne
             return _bisim(moves_a, moves_b, ma.configurations, mb.configurations, mode, witness)
         if not witness:
             return False
-        same = pair.gates[mode][1]  # never read in the pomset mode
+        same = pair.gates[mode]  # never read in the pomset mode
         return False, _bisim_line(moves_a, moves_b, ma.configurations, mb.configurations, same)
     if rel not in _ON_MEMOS:
         raise ValueError(f"unknown relation {rel!r}")

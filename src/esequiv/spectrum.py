@@ -345,7 +345,12 @@ def verify_spectrum(pairs, diagram: Diagram, include_fixtures=True, jobs=1):
 
     `pairs` is a list of (left_name, left, right_name, right).  Fixtures of
     the diagram's class are appended so every proper inclusion has a chance
-    of being witnessed.  Violations are report content, never exceptions.
+    of being witnessed.  A group that is not uniform, or a breach of an
+    arrow that `INCLUSION_ARROWS` does not imply, is report content.  A
+    breach of one of `INCLUSION_ARROWS` is an exception: `full_matrix`
+    raises `SpectrumViolation` before the diagram is read, so none of
+    `FIG_PES`'s arrows, which are `INCLUSION_ARROWS` themselves, can ever
+    be reported.
     With `jobs` > 1 the pairs are checked by a pool of at most that many
     worker processes and at most one per CPU.
     """

@@ -597,9 +597,10 @@ class TestRootRefutation:
             assert list(refused.values()) == [1]
 
     def test_a_memo_holds_no_cycle(self):
-        # what a memo keeps per mode holds no reference back to it, so a
-        # memo whose moves were read in every mode is freed by reference
-        # counting alone, with no wait for the cycle collector
+        # what a memo keeps per mode holds no reference back to it, and no
+        # decider, attacker line or residual class pass leaves a cycle that
+        # holds one, so a memo whose moves were read in every mode is freed
+        # by reference counting alone, with no wait for the cycle collector
         left, right = from_expr("a;(b||c)+d"), from_expr("a||b||c")
         gc.disable()
         try:
@@ -611,6 +612,23 @@ class TestRootRefutation:
                 check(rel, ma, mb)
             del ma, mb
             assert [ref() for ref in refs] == [None, None]
+            # ib, sb and pb are refuted, so their witnesses are attacker lines
+            for rel in MATRIX_ORDER:
+                ma, mb = Semantics(left), Semantics(right)
+                refs = weakref.ref(ma), weakref.ref(mb)
+                ok, wit = check(rel, ma, mb, witness=True)
+                if rel in (R.IB, R.SB, R.PB):
+                    assert not ok and isinstance(wit, GameWitness)
+                del ma, mb, wit
+                assert [ref() for ref in refs] == [None, None], rel
+            # the table keeps the structure, never the memo it was given
+            table = eq._LanguageTable()
+            for mode in MODES:
+                m = Semantics(left)
+                ref = weakref.ref(m)
+                table.root(m, mode)
+                del m
+                assert ref() is None, mode
         finally:
             gc.enable()
 

@@ -7,8 +7,11 @@ import sys
 
 import pytest
 
+import esequiv.equivalences as eq
+from esequiv.algebra import from_expr
+from esequiv.cli import run
 from esequiv.equivalences import Relation, full_matrix
-from esequiv.errors import UnsatisfiableSpec
+from esequiv.errors import SpectrumViolation, UnsatisfiableSpec
 from esequiv.semantics import build_lts, has_autoconcurrency
 from esequiv.spectrum import (
     FIG_CS,
@@ -104,6 +107,25 @@ class TestVerify:
         spec = CorpusSpec(structure_class="pes", count=40, max_events=8, seed=13)
         report = verify_spectrum(corpus_pairs(spec), FIG_PES)
         assert report.violations == []
+
+    def test_an_inclusion_breach_is_raised_not_reported(self, monkeypatch, capsys):
+        # an hb that holds on a;a against a||a, where pb fails, breaks the
+        # arrow hb -> pb: full_matrix raises before the diagram is read
+        seq, par = from_expr("a;a"), from_expr("a||a")
+        real = eq.hb_equiv
+
+        def broken(sa, sb=None, *, witness=False):
+            pair = eq.Pair.of(sa, sb)
+            if (pair.ma.s, pair.mb.s) == (seq, par):
+                return (True, None) if witness else True
+            return real(pair, witness=witness)
+
+        monkeypatch.setattr(eq, "hb_equiv", broken)
+        with pytest.raises(SpectrumViolation, match="^hb holds but pb does not"):
+            verify_spectrum([("L", seq, "R", par)], FIG_PES, include_fixtures=False)
+        # the CLI appends the fixtures, a;a against a||a among them
+        assert run(["spectrum", "--class", "pes", "--pairs", "2", "--max-size", "4"]) == 2
+        assert capsys.readouterr().err.startswith("error: hb holds but pb does not")
 
     def test_report_renders_deterministically(self):
         spec = CorpusSpec(structure_class="cs", count=10, max_events=6, seed=14)
